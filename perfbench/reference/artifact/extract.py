@@ -1,0 +1,522 @@
+"""Constructive degree-one factor extraction for type-A invariants.
+
+Given a torus-invariant standard monomial f of degree k >= 2, produce an
+exact decomposition f = sum c_t * g_t * h_t with every g_t a degree-one
+zero-weight standard monomial and every h_t a degree k-1 monomial.  The
+route is combinatorial: translate f to a looped multigraph, split off a
+candidate subgraph of unit degree by two-factorization (helped by an
+Euler/bipartite double cover when the degrees are odd), repair odd
+cycles with signed three-term relations, then trade loops against edges
+between candidate and cofactor until the candidate has the loop count of
+the unit shape.  A linear-algebra fallback keeps the contract total.
+"""
+
+from __future__ import annotations
+
+import itertools
+import logging
+from collections import Counter
+from fractions import Fraction
+
+from .graphs import (
+    Edge,
+    GraphCombo,
+    LoopedMultigraph,
+    analyze_components,
+    edge_loop_relation,
+    edge_pair_relation,
+    graph_from_monomial,
+    monomial_from_graph,
+    one_factorize_bipartite,
+    two_factorize,
+)
+from .plucker import PluckerMonomial, PluckerPoly, straighten, monomial_from_tableau
+from .tableau_a import TableauA, enumerate_standard
+from .weights import FAMILY_A, GroupInstance, shape_from_weight
+
+logger = logging.getLogger(__name__)
+
+CertTermList = list[tuple[Fraction, PluckerMonomial, PluckerMonomial]]
+
+
+class ExtractionStuck(RuntimeError):
+    """The combinatorial route ran out of moves; caller should fall back."""
+
+
+def _pick_spare_loop(comps: list[dict], banned: set[int]) -> int | None:
+    """Loop vertex to consume, preferring the least entangled component."""
+    preference = {
+        "isolated_loop": 0,
+        "path_with_one_loop": 1,
+        "even_path_loop_to_loop": 1,
+        "odd_path_loop_to_loop": 1,
+        "vertex_with_two_loops": 2,
+    }
+    best: tuple[int, int] | None = None
+    for comp in comps:
+        rank = preference.get(comp["kind"])
+        if rank is None:
+            continue
+        for a, b in comp["order"]:
+            if a == b and a not in banned:
+                if best is None or (rank, a) < best:
+                    best = (rank, a)
+    return None if best is None else best[1]
+
+
+def merge_odd_cycles(g: LoopedMultigraph) -> GraphCombo:
+    """Rewrite away every odd cycle, branching on signed relations.
+
+    Pairs of odd cycles merge into one even cycle through the quadratic
+    relation on one edge from each (both branches do); a final unpaired
+    odd cycle is opened against a spare loop, leaving a path with a loop
+    end.  Each step lowers the odd-cycle count, so this terminates.
+    """
+    work: GraphCombo = [(Fraction(1), g)]
+    done: GraphCombo = []
+    while work:
+        coeff, cur = work.pop()
+        comps = analyze_components(cur)
+        odd = sorted(
+            comp["order"] for comp in comps if comp["kind"] == "odd_cycle"
+        )
+        if not odd:
+            done.append((coeff, cur))
+            continue
+        if len(odd) >= 2:
+            e1, e2 = min(odd[0]), min(odd[1])
+            for sign, nxt in edge_pair_relation(cur, e1, e2):
+                work.append((coeff * sign, nxt))
+            continue
+        edge = min(odd[0])
+        loop_v = _pick_spare_loop(comps, banned=set(edge))
+        if loop_v is None:
+            raise ExtractionStuck("lone odd cycle with no spare loop")
+        for sign, nxt in edge_loop_relation(cur, edge, loop_v):
+            work.append((coeff * sign, nxt))
+    return done
+
+
+def one_factor_selection(g: LoopedMultigraph) -> LoopedMultigraph:
+    """Spanning degree-one subgraph of an odd-cycle-free graph.
+
+    Works component by component on the ordered traversals: alternate
+    edges around even cycles, keep single edges and lone loops, take one
+    loop of a doubly looped vertex, and match paths using an end loop
+    exactly when the edge count forces it.
+    """
+    chosen: list[Edge] = []
+    for comp in analyze_components(g):
+        kind, order = comp["kind"], comp["order"]
+        if kind == "even_cycle":
+            chosen.extend(order[0::2])
+        elif kind in ("single_edge", "isolated_loop"):
+            chosen.extend(order)
+        elif kind == "vertex_with_two_loops":
+            chosen.append(order[0])
+        elif kind == "even_path_loop_to_loop":
+            # order = [loop, e1..em, loop] with m even
+            chosen.append(order[0])
+            chosen.extend(order[2:-1:2])
+        elif kind == "odd_path_loop_to_loop":
+            chosen.append(order[0])
+            chosen.append(order[-1])
+            chosen.extend(order[2:-1:2])
+        elif kind == "path_with_one_loop":
+            m = len(order) - 1
+            if m % 2 == 0:
+                chosen.append(order[0])
+                chosen.extend(order[2::2])
+            else:
+                chosen.extend(order[1::2])
+        else:
+            raise ExtractionStuck(f"cannot select a matching from {kind}")
+    out = LoopedMultigraph(g.n, chosen)
+    for v, d in g.degrees().items():
+        assert out.degree(v) == (1 if d else 0), "selection must be 1-regular"
+    return out
+
+
+def graph_difference(g: LoopedMultigraph, sub: LoopedMultigraph) -> LoopedMultigraph:
+    left = Counter(g.edges)
+    left.subtract(Counter(sub.edges))
+    if any(c < 0 for c in left.values()):
+        raise ValueError("subtrahend is not a subgraph")
+    edges: list[Edge] = []
+    for e, c in left.items():
+        edges.extend([e] * c)
+    return LoopedMultigraph(g.n, edges)
+
+
+def _union(n: int, parts: list[LoopedMultigraph]) -> LoopedMultigraph:
+    edges: list[Edge] = []
+    for p in parts:
+        edges.extend(p.edges)
+    return LoopedMultigraph(n, edges)
+
+
+def _loop_vertices(g: LoopedMultigraph) -> list[int]:
+    return [a for a, b in g.edges if a == b]
+
+
+def iter_interchanges(
+    g: LoopedMultigraph, h: LoopedMultigraph, direction: int
+):
+    """Yield every loop-trading move between candidate and cofactor.
+
+    ``direction`` -1 lowers the candidate's loop count by two, +1 raises
+    it; each move preserves the factor multiset of g * h exactly, so it
+    is an identity on the product.  Moves come out in a fixed order
+    (sorted edge and loop choices), pair swaps before two-edge trades.
+    """
+    if direction == -1:
+        g_loops = sorted(set(_loop_vertices(g)))
+        h_count = Counter(h.edges)
+        for i, j in itertools.combinations(g_loops, 2):
+            if h_count[(i, j)] > 0:
+                g2, h2 = g.copy(), h.copy()
+                g2.remove(i, i)
+                g2.remove(j, j)
+                g2.add(i, j)
+                h2.remove(i, j)
+                h2.add(i, i)
+                h2.add(j, j)
+                yield g2, h2
+        loop_count = Counter(_loop_vertices(g))
+        pairs = [
+            (k, l)
+            for k, l in itertools.combinations_with_replacement(sorted(loop_count), 2)
+            if (loop_count[k] >= 2 if k == l else True)
+        ]
+        for a, b in sorted(set(g.proper_edges())):
+            for k, l in pairs:
+                if k in (a, b) or l in (a, b):
+                    continue
+                for x, y in ((k, l), (l, k)):
+                    e1 = tuple(sorted((a, x)))
+                    e2 = tuple(sorted((b, y)))
+                    need = Counter((e1, e2))
+                    if all(h_count[e] >= c for e, c in need.items()):
+                        g2, h2 = g.copy(), h.copy()
+                        g2.remove(a, b)
+                        g2.remove(k, k)
+                        g2.remove(l, l)
+                        g2.add(*e1)
+                        g2.add(*e2)
+                        h2.remove(*e1)
+                        h2.remove(*e2)
+                        h2.add(a, b)
+                        h2.add(k, k)
+                        h2.add(l, l)
+                        yield g2, h2
+        return
+    if direction == 1:
+        h_loops = Counter(_loop_vertices(h))
+        for i, j in sorted(set(g.proper_edges())):
+            if i != j and h_loops[i] >= 1 and h_loops[j] >= 1:
+                g2, h2 = g.copy(), h.copy()
+                g2.remove(i, j)
+                g2.add(i, i)
+                g2.add(j, j)
+                h2.remove(i, i)
+                h2.remove(j, j)
+                h2.add(i, j)
+                yield g2, h2
+        h_count = Counter(h.edges)
+        edges = sorted(g.proper_edges())
+        for idx1, idx2 in itertools.combinations(range(len(edges)), 2):
+            e1, e2 = edges[idx1], edges[idx2]
+            for i, k in (e1, e1[::-1]):
+                for j, l in (e2, e2[::-1]):
+                    if i == j:
+                        continue
+                    need_loops = Counter((k, l))
+                    if any(h_loops[v] < c for v, c in need_loops.items()):
+                        continue
+                    bridge = tuple(sorted((i, j)))
+                    if h_count[bridge] < 1:
+                        continue
+                    g2, h2 = g.copy(), h.copy()
+                    g2.remove(*e1)
+                    g2.remove(*e2)
+                    g2.add(*bridge)
+                    g2.add(k, k)
+                    g2.add(l, l)
+                    h2.remove(*bridge)
+                    h2.add(*e1)
+                    h2.add(*e2)
+                    h2.remove(k, k)
+                    h2.remove(l, l)
+                    yield g2, h2
+        return
+    raise ValueError("direction must be +1 or -1")
+
+
+def find_interchange(
+    g: LoopedMultigraph, h: LoopedMultigraph, direction: int
+) -> tuple[LoopedMultigraph, LoopedMultigraph] | None:
+    """First loop-trading move between candidate and cofactor, if any."""
+    return next(iter_interchanges(g, h, direction), None)
+
+
+def _relation_candidates(h: LoopedMultigraph) -> list[tuple[str, tuple]]:
+    """Rewrites of the cofactor that might unlock an interchange."""
+    out: list[tuple[str, tuple]] = []
+    loops = sorted(set(_loop_vertices(h)))
+    for e in sorted(set(h.proper_edges())):
+        for v in loops:
+            if v not in e:
+                out.append(("edge_loop", (e, v)))
+    proper = sorted(set(h.proper_edges()))
+    for e1, e2 in itertools.combinations(proper, 2):
+        if len({*e1, *e2}) == 4:
+            out.append(("edge_pair", (e1, e2)))
+    return out
+
+
+def _apply_relation(h: LoopedMultigraph, cand: tuple[str, tuple]) -> GraphCombo:
+    kind, args = cand
+    if kind == "edge_loop":
+        return edge_loop_relation(h, args[0], args[1])
+    return edge_pair_relation(h, args[0], args[1])
+
+
+def rebalance_loops(
+    g: LoopedMultigraph, h: LoopedMultigraph, target: int
+) -> list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]]:
+    """Drive the candidate's loop count to ``target`` on every branch.
+
+    Direct interchanges move two loops at a time and keep each g * h
+    product fixed; when none applies, the cofactor is rewritten by one
+    signed relation, chosen by a one-step lookahead that prefers both
+    branches becoming movable.  Relation steps are capped quadratically
+    in the total loop count, after which the caller must fall back.
+    """
+    total_loops = len(_loop_vertices(g)) + len(_loop_vertices(h))
+    cap = max(4, total_loops * total_loops)
+    steps = 0
+    work: list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]] = [
+        (Fraction(1), g, h)
+    ]
+    done: list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]] = []
+    while work:
+        coeff, cg, ch = work.pop()
+        delta = len(_loop_vertices(cg)) - target
+        if delta == 0:
+            done.append((coeff, cg, ch))
+            continue
+        if delta % 2:
+            raise ExtractionStuck("loop surplus has the wrong parity")
+        direction = -1 if delta > 0 else 1
+        move = find_interchange(cg, ch, direction)
+        if move is not None:
+            work.append((coeff, move[0], move[1]))
+            continue
+        steps += 1
+        if steps > cap:
+            raise ExtractionStuck("relation budget exhausted while rebalancing")
+        cands = _relation_candidates(ch)
+        if not cands:
+            raise ExtractionStuck("no relation applies to the cofactor")
+        best = None
+        for cand in cands:
+            branches = _apply_relation(ch, cand)
+            score = sum(
+                1
+                for _, hb in branches
+                if find_interchange(cg, hb, direction) is not None
+            )
+            if best is None or score > best[0]:
+                best = (score, branches)
+            if score == 2:
+                break
+        assert best is not None
+        for sign, hb in best[1]:
+            work.append((coeff * sign, cg, hb))
+    return done
+
+
+def _unit_data(instance: GroupInstance):
+    unit_shape = shape_from_weight(instance, 1)
+    cols = unit_shape.column_lengths
+    pairs = cols[1] if len(cols) > 1 else 0
+    singles = cols[0] - pairs
+    return unit_shape, singles, pairs
+
+
+def _monomial_degree(instance: GroupInstance, f: PluckerMonomial) -> int:
+    unit_shape, _, _ = _unit_data(instance)
+    if unit_shape.boxes == 0 or sum(len(r) for r in f.factors) % unit_shape.boxes:
+        raise ValueError("monomial size is not a multiple of the unit shape")
+    return sum(len(r) for r in f.factors) // unit_shape.boxes
+
+
+def degree_one_basis(instance: GroupInstance) -> list[PluckerMonomial]:
+    """Zero-weight standard monomials of degree one, enumeration order."""
+    unit_shape, _, _ = _unit_data(instance)
+    n = instance.n
+    return [
+        monomial_from_tableau(t)
+        for t in enumerate_standard(unit_shape, n, "uniform")
+    ]
+
+
+def _split_candidate(
+    instance: GroupInstance, f: PluckerMonomial
+) -> list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]]:
+    """Graph-level candidates (coeff, g, h) before loop rebalancing."""
+    unit_shape, singles, pairs = _unit_data(instance)
+    n = instance.n
+    s = unit_shape.boxes // n
+    k = _monomial_degree(instance, f)
+    G = graph_from_monomial(f)
+    if not G.is_regular(k * s):
+        raise ValueError("monomial is not torus-invariant")
+    if s % 2 == 0:
+        factors = two_factorize(G)
+        g0 = _union(n, factors[: s // 2])
+        h0 = _union(n, factors[s // 2 :])
+        return [(Fraction(1), g0, h0)]
+    if k % 2 == 0:
+        factors = two_factorize(G)
+        order = sorted(
+            range(len(factors)),
+            key=lambda i: (-len(_loop_vertices(factors[i])), i),
+        )
+        pick = None
+        for idx in order:
+            comps = analyze_components(factors[idx])
+            n_odd = sum(1 for c in comps if c["kind"] == "odd_cycle")
+            if n_odd % 2 == 0 or _loop_vertices(factors[idx]):
+                pick = idx
+                break
+        if pick is None:
+            raise ExtractionStuck("no two-factor supports a matching")
+        others = [factors[i] for i in range(len(factors)) if i != pick]
+        out = []
+        for coeff, repaired in merge_odd_cycles(factors[pick]):
+            m = one_factor_selection(repaired)
+            rem = graph_difference(repaired, m)
+            take = (s - 1) // 2
+            g_t = _union(n, [m] + others[:take])
+            h_t = _union(n, [rem] + others[take:])
+            out.append((coeff, g_t, h_t))
+        return out
+    # both k and s odd: split through the bipartite double cover
+    bip: list[tuple[int, int]] = []
+    for a, b in G.edges:
+        if a == b:
+            bip.append((a - 1, a - 1))
+        else:
+            bip.append((a - 1, b - 1))
+            bip.append((b - 1, a - 1))
+    matchings = one_factorize_bipartite(n, n, bip)
+    chosen = None
+    if n % 2 == 0:
+        chosen = matchings[0]
+    else:
+        for mt in matchings:
+            fixed = sum(1 for l, r in mt if l == r)
+            if fixed % 2 == 1:
+                chosen = mt
+                break
+        assert chosen is not None, "some matching must fix an odd set"
+    pi = {l + 1: r + 1 for l, r in chosen}
+    sel_edges: list[Edge] = []
+    seen: set[int] = set()
+    for start in sorted(pi):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        v = pi[start]
+        while v != start:
+            cyc.append(v)
+            seen.add(v)
+            v = pi[v]
+        if len(cyc) == 1:
+            sel_edges.append((start, start))
+        elif len(cyc) == 2:
+            sel_edges.append(tuple(sorted(cyc)))  # type: ignore[arg-type]
+        else:
+            for i in range(len(cyc)):
+                sel_edges.append(tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))))
+    sel = LoopedMultigraph(n, sel_edges)
+    rest = graph_difference(G, sel)
+    out = []
+    for coeff, repaired in merge_odd_cycles(sel):
+        m = one_factor_selection(repaired)
+        rem = graph_difference(repaired, m)
+        full_rem = _union(n, [rest, rem])
+        assert full_rem.is_regular(k * s - 1), "remainder degree drifted"
+        rfactors = two_factorize(full_rem)
+        take = (s - 1) // 2
+        g_t = _union(n, [m] + rfactors[:take])
+        h_t = _union(n, rfactors[take:])
+        out.append((coeff, g_t, h_t))
+    return out
+
+
+def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermList:
+    """Decompose f into degree-one generators times degree k-1 cofactors.
+
+    Fast path is plain monomial division by a basis element.  Otherwise
+    the graph pipeline runs and its candidates are rebalanced and
+    straightened; if the combinatorics jam, an exact linear-algebra
+    factorization takes over so the result is always a verified identity.
+    """
+    if instance.family != FAMILY_A:
+        raise ValueError("extraction is defined for the type-A families")
+    n = instance.n
+    if f.n != n:
+        raise ValueError("monomial rank does not match the instance")
+    if not f.is_standard:
+        raise ValueError("input monomial must be standard")
+    k = _monomial_degree(instance, f)
+    if k < 2:
+        raise ValueError("degree must be at least 2")
+    expected = shape_from_weight(instance, k)
+    tab = TableauA(n, f.factors)
+    if tab.shape_columns() != tuple(expected.column_lengths):
+        raise ValueError("monomial shape does not match the scaled weight")
+    if not tab.is_t_invariant():
+        raise ValueError("monomial is not torus-invariant")
+    units = degree_one_basis(instance)
+    for unit in units:
+        if unit.divides(f):
+            return [(Fraction(1), unit, f.quotient(unit))]
+    lengths = {len(r) for r in f.factors}
+    if lengths <= {1, 2}:
+        try:
+            raw = _split_candidate(instance, f)
+            _, singles, _ = _unit_data(instance)
+            balanced: list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]] = []
+            for coeff, g, h in raw:
+                for c2, g2, h2 in rebalance_loops(g, h, singles):
+                    balanced.append((coeff * c2, g2, h2))
+            out: CertTermList = []
+            for coeff, g, h in balanced:
+                h_mono = monomial_from_graph(h)
+                for mono, c in straighten(monomial_from_graph(g)).items():
+                    out.append((coeff * c, mono, h_mono))
+            _validate_terms(f, out)
+            return out
+        except ExtractionStuck as exc:
+            logger.warning(
+                "combinatorial extraction jammed (%s); using linear algebra", exc
+            )
+    from .verifier import factor_by_linear_algebra
+
+    out = factor_by_linear_algebra(instance, f)
+    _validate_terms(f, out)
+    return out
+
+
+def _validate_terms(f: PluckerMonomial, terms: CertTermList) -> None:
+    total = PluckerPoly(f.n)
+    for coeff, g, h in terms:
+        assert g.is_standard, "generator must be standard"
+        total = total + PluckerPoly.from_monomial(g * h, coeff)
+    lhs = straighten(total)
+    rhs = straighten(PluckerPoly.from_monomial(f))
+    assert lhs == rhs, "extraction identity failed straightening check"

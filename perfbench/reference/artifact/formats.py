@@ -1,0 +1,207 @@
+"""Stable text, JSON and CSV forms for every object the CLI touches.
+
+All serialization is deterministic: dict keys are emitted in a fixed
+order, floats never appear, and fractions are printed as num/den so a
+byte-for-byte comparison of two runs is meaningful.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import re
+from fractions import Fraction
+
+from .graphs import LoopedMultigraph
+from .plucker import PluckerMonomial, PluckerPoly
+from .tableau_a import TableauA
+from .tableau_b import TableauB
+from .verifier import FactorCertificate, GenerationReport
+
+
+def format_coeff(c: Fraction) -> str:
+    c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def format_monomial(m: PluckerMonomial) -> str:
+    return str(m)
+
+
+def format_poly(p: PluckerPoly) -> str:
+    """One signed term per line, ordered by the canonical factor tuples."""
+    if p.is_zero():
+        return "0"
+    lines = []
+    for mono, coeff in sorted(p.items(), key=lambda kv: kv[0].factors):
+        sign = "-" if coeff < 0 else "+"
+        lines.append(f"{sign}{format_coeff(abs(coeff))} * {mono}")
+    return "\n".join(lines)
+
+
+_ATOM = re.compile(r"p\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\](?:\^([0-9]+))?")
+
+
+def _strip_comments(text: str) -> str:
+    return " ".join(line.split("#", 1)[0] for line in text.splitlines())
+
+
+def parse_poly(text: str, n: int) -> PluckerPoly:
+    """Read a polynomial like ``2 * p[1,4] p[2,3] - p[1,2] p[3,4]``.
+
+    Coefficients are optional integers or fractions followed by ``*``;
+    factors juxtapose and accept ``^`` powers; ``#`` starts a comment.
+    """
+    src = _strip_comments(text).replace("-", "+-")
+    total: dict[PluckerMonomial, Fraction] = {}
+    for chunk in src.split("+"):
+        if not chunk.strip():
+            continue
+        m = re.match(r"\s*(-)?\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?(.*)$", chunk, re.S)
+        assert m is not None
+        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        if m.group(1):
+            coeff = -coeff
+        body = m.group(3)
+        factors: list[tuple[int, ...]] = []
+        consumed = _ATOM.sub("", body)
+        if consumed.strip():
+            raise ValueError(f"cannot parse term {chunk.strip()!r}")
+        for atom in _ATOM.finditer(body):
+            row = tuple(int(x) for x in atom.group(1).split(","))
+            power = int(atom.group(2) or 1)
+            factors.extend([row] * power)
+        if not factors:
+            raise ValueError(f"term {chunk.strip()!r} has no factors")
+        mono = PluckerMonomial(n, tuple(factors))
+        total[mono] = total.get(mono, Fraction(0)) + coeff
+    if not total:
+        raise ValueError("empty polynomial")
+    return PluckerPoly(n, total)
+
+
+def parse_monomial(text: str, n: int) -> PluckerMonomial:
+    poly = parse_poly(text, n)
+    items = list(poly.items())
+    if len(items) != 1 or items[0][1] != 1:
+        raise ValueError("expected a single monomial with coefficient 1")
+    return items[0][0]
+
+
+def tableau_text(t: TableauA | TableauB) -> str:
+    """Rows as comma-separated lines; type B carries a header line."""
+    lines = []
+    if isinstance(t, TableauB):
+        lines.append(f"type: B, n: {t.n}")
+    for row in t.rows:
+        lines.append(",".join(map(str, row)))
+    return "\n".join(lines)
+
+
+_B_HEADER = re.compile(r"^type:\s*B\s*,\s*n:\s*(\d+)$")
+
+
+def parse_tableau_rows(text: str) -> tuple[str, int | None, list[tuple[int, ...]]]:
+    """Rows from text form; returns (family, type-B rank or None, rows)."""
+    family = "A"
+    rank = None
+    rows: list[tuple[int, ...]] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        header = _B_HEADER.match(line)
+        if header:
+            family, rank = "B", int(header.group(1))
+            continue
+        rows.append(tuple(int(x) for x in line.split(",")))
+    return family, rank, rows
+
+
+def graph_json(g: LoopedMultigraph) -> dict:
+    return {"n": g.n, "edges": [[a, b] for a, b in g.edges]}
+
+
+def graph_from_json(data: dict) -> LoopedMultigraph:
+    return LoopedMultigraph(int(data["n"]), [tuple(e) for e in data["edges"]])
+
+
+def certificate_json(cert: FactorCertificate, verified: bool | None = None) -> dict:
+    out: dict = {
+        "instance": cert.instance,
+        "monomial": str(cert.monomial),
+        "terms": [
+            {
+                "coeff": format_coeff(c),
+                "generator": str(g),
+                "cofactor": str(h),
+            }
+            for c, g, h in cert.terms
+        ],
+    }
+    if verified is not None:
+        out["verified"] = verified
+    return out
+
+
+def report_json(report: GenerationReport) -> dict:
+    return report.as_dict()
+
+
+REPORT_COLUMNS = ("instance", "k", "d", "dim", "rank", "verdict")
+
+
+def reports_table(reports: list[GenerationReport]) -> str:
+    rows = [[str(r.as_dict()[c]) for c in REPORT_COLUMNS] for r in reports]
+    widths = [
+        max(len(REPORT_COLUMNS[i]), *(len(row[i]) for row in rows)) if rows else len(REPORT_COLUMNS[i])
+        for i in range(len(REPORT_COLUMNS))
+    ]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(REPORT_COLUMNS, widths)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
+
+
+def reports_csv(reports: list[GenerationReport]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    for r in reports:
+        d = r.as_dict()
+        writer.writerow([d[c] for c in REPORT_COLUMNS])
+    return buf.getvalue().rstrip("\n")
+
+
+def reports_json_text(reports: list[GenerationReport]) -> str:
+    return json.dumps([r.as_dict() for r in reports], indent=2)
+
+
+def duality_table(result: dict) -> str:
+    header = ["k", "left", "right"]
+    rows = [[str(d["k"]), str(d["left"]), str(d["right"])] for d in result["degrees"]]
+    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(3)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(header, widths)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    lines.append(f"verdict: {result['verdict']}")
+    return "\n".join(lines)
+
+
+def duality_csv(result: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "left", "right", "verdict"])
+    for d in result["degrees"]:
+        writer.writerow([d["k"], d["left"], d["right"], result["verdict"]])
+    return buf.getvalue().rstrip("\n")
+
+
+def load_manifest(path: str) -> list[dict]:
+    """Manifest file: JSON array of instance entries (plus optional k/genDegree)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError("manifest must be a JSON array")
+    return data

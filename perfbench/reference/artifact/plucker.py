@@ -1,0 +1,342 @@
+"""Exact Plücker-coordinate algebra: monomials, straightening, evaluation.
+
+Monomials are multisets of strictly increasing index tuples, canonically
+arranged longest-first then lexicographic.  ``straighten`` rewrites any
+polynomial into the standard-monomial basis using quadratic exchange
+relations in their multi-element shuffle form; every rewrite strictly
+lowers the concatenated-rows measure, which is asserted per step.  An
+evaluation oracle on integer matrices keeps the algebra honest.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+from .linalg import int_det
+from .tableau_a import TableauA, canonical_rows, rows_standard
+
+Factors = tuple[tuple[int, ...], ...]
+
+
+def _factor_key(row: tuple[int, ...]):
+    return (-len(row), row)
+
+
+@dataclass(frozen=True)
+class PluckerMonomial:
+    """Product of Plücker coordinates, canonically arranged."""
+
+    n: int
+    factors: Factors
+
+    def __post_init__(self) -> None:
+        rows = tuple(sorted((tuple(r) for r in self.factors), key=_factor_key))
+        object.__setattr__(self, "factors", rows)
+        for row in rows:
+            if not row:
+                raise ValueError("empty index tuple")
+            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+                raise ValueError(f"indices {row} are not strictly increasing")
+            if row[0] < 1 or row[-1] > self.n:
+                raise ValueError(f"indices {row} leave the range 1..{self.n}")
+
+    @property
+    def is_standard(self) -> bool:
+        return rows_standard(self.factors)
+
+    def length_profile(self) -> tuple[int, ...]:
+        return tuple(sorted({len(r) for r in self.factors}))
+
+    def __mul__(self, other: "PluckerMonomial") -> "PluckerMonomial":
+        if self.n != other.n:
+            raise ValueError("cannot multiply monomials of different rank")
+        return PluckerMonomial(self.n, self.factors + other.factors)
+
+    def divides(self, other: "PluckerMonomial") -> bool:
+        """Sub-multiset test on factors."""
+        from collections import Counter
+
+        mine, theirs = Counter(self.factors), Counter(other.factors)
+        return all(theirs[f] >= c for f, c in mine.items())
+
+    def quotient(self, other: "PluckerMonomial") -> "PluckerMonomial":
+        """Remove the factors of ``other`` (which must divide self)."""
+        from collections import Counter
+
+        left = Counter(self.factors)
+        left.subtract(Counter(other.factors))
+        if any(c < 0 for c in left.values()):
+            raise ValueError("quotient by a non-divisor")
+        rows: list[tuple[int, ...]] = []
+        for f, c in left.items():
+            rows.extend([f] * c)
+        return PluckerMonomial(self.n, tuple(rows))
+
+    def __str__(self) -> str:
+        if not self.factors:
+            return "1"
+        parts = []
+        for row, group in itertools.groupby(self.factors):
+            power = len(list(group))
+            body = "p[" + ",".join(map(str, row)) + "]"
+            parts.append(body if power == 1 else f"{body}^{power}")
+        return " ".join(parts)
+
+
+class PluckerPoly:
+    """Exact linear combination of Plücker monomials of one rank."""
+
+    __slots__ = ("n", "_terms")
+
+    def __init__(self, n: int, terms: Mapping[PluckerMonomial, Fraction] | None = None):
+        self.n = n
+        data: dict[PluckerMonomial, Fraction] = {}
+        if terms:
+            for mono, coeff in terms.items():
+                if mono.n != n:
+                    raise ValueError("rank mismatch inside polynomial")
+                c = Fraction(coeff)
+                if c:
+                    data[mono] = c
+        self._terms = data
+
+    @classmethod
+    def from_monomial(cls, mono: PluckerMonomial, coeff=1) -> "PluckerPoly":
+        return cls(mono.n, {mono: Fraction(coeff)})
+
+    @property
+    def terms(self) -> dict[PluckerMonomial, Fraction]:
+        return dict(self._terms)
+
+    def items(self):
+        return self._terms.items()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other: "PluckerPoly") -> "PluckerPoly":
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        data = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            data[mono] = data.get(mono, Fraction(0)) + coeff
+        return PluckerPoly(self.n, data)
+
+    def __sub__(self, other: "PluckerPoly") -> "PluckerPoly":
+        return self + (other * -1)
+
+    def __mul__(self, other):
+        if isinstance(other, PluckerPoly):
+            data: dict[PluckerMonomial, Fraction] = {}
+            for m1, c1 in self._terms.items():
+                for m2, c2 in other._terms.items():
+                    prod = m1 * m2
+                    data[prod] = data.get(prod, Fraction(0)) + c1 * c2
+            return PluckerPoly(self.n, data)
+        coeff = Fraction(other)
+        return PluckerPoly(self.n, {m: c * coeff for m, c in self._terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PluckerPoly)
+            and self.n == other.n
+            and self._terms == other._terms
+        )
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "PluckerPoly(0)"
+        bits = [f"{c} * {m}" for m, c in sorted(self._terms.items(), key=lambda kv: _measure(kv[0].factors))]
+        return "PluckerPoly(" + " + ".join(bits) + ")"
+
+
+def _measure(factors: Factors) -> tuple[int, ...]:
+    """Concatenation of the canonically arranged rows; the rewrite order."""
+    return tuple(itertools.chain.from_iterable(factors))
+
+
+def _sort_sign(seq: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Sign of the permutation sorting ``seq``; 0 on repeated entries."""
+    arr = list(seq)
+    sign = 1
+    for i in range(len(arr)):
+        for j in range(i + 1, len(arr)):
+            if arr[i] == arr[j]:
+                return 0, ()
+            if arr[i] > arr[j]:
+                sign = -sign
+    return sign, tuple(sorted(arr))
+
+
+def _first_violation(factors: Factors) -> int | None:
+    """Index of the first adjacent row pair breaking the column test."""
+    for idx in range(len(factors) - 1):
+        upper, lower = factors[idx], factors[idx + 1]
+        shared = min(len(upper), len(lower))
+        if any(upper[t] > lower[t] for t in range(shared)):
+            return idx
+    return None
+
+
+_REWRITE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
+
+
+def _pair_rewrite(upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple:
+    """Expansion of a violating adjacent pair into strictly smaller pairs.
+
+    Uniform lengths use the shuffle relation built from the first
+    violating column; the two-against-one flag case uses the three-term
+    identity.  Returns ((coeff, row1, row2), ...) with integer signs.
+    """
+    key = (upper, lower)
+    cached = _REWRITE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    if len(upper) == len(lower):
+        terms = _shuffle_rewrite(upper, lower)
+    elif len(upper) == 2 and len(lower) == 1:
+        (i, j), (k,) = upper, lower
+        if k >= i:
+            raise ValueError("pair/singleton rows do not violate")
+        # p_ij p_k = p_kj p_i - p_ki p_j for k < i < j
+        terms = ((1, (k, j), (i,)), (-1, (k, i), (j,)))
+    else:
+        raise ValueError(
+            f"unsupported tuple-length profile: {len(upper)} against {len(lower)}"
+        )
+    _REWRITE_CACHE[key] = terms
+    return terms
+
+
+def _shuffle_rewrite(upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple:
+    r = len(upper)
+    t = next(i for i in range(r) if upper[i] > lower[i])
+    gamma = upper[:t]
+    delta = lower[t + 1 :]
+    pool = sorted(lower[: t + 1] + upper[t:])
+    assert len(set(pool)) == r + 1, "shuffle pool must have distinct entries"
+    take = r - t
+    identity_sign = None
+    raw: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    for idx in itertools.combinations(range(r + 1), take):
+        s1 = tuple(pool[i] for i in idx)
+        s2 = tuple(pool[i] for i in range(r + 1) if i not in idx)
+        shuffle_sign = -1 if (sum(idx) - take * (take - 1) // 2) % 2 else 1
+        sx, x = _sort_sign(gamma + s1)
+        sy, y = _sort_sign(s2 + delta)
+        coeff = shuffle_sign * sx * sy
+        if coeff == 0:
+            continue
+        if x == upper and y == lower:
+            identity_sign = coeff
+            continue
+        raw.append((coeff, x, y))
+    assert identity_sign is not None, "identity term missing from shuffle"
+    return tuple((-c * identity_sign, x, y) for c, x, y in raw)
+
+
+def _canonical_insert(rest: Factors, row1: tuple[int, ...], row2: tuple[int, ...]) -> Factors:
+    return tuple(sorted(rest + (row1, row2), key=_factor_key))
+
+
+def _validate_profile(factors: Factors) -> None:
+    lengths = {len(r) for r in factors}
+    if len(lengths) > 1 and lengths != {1, 2}:
+        raise ValueError(f"unsupported tuple-length profile {sorted(lengths)}")
+
+
+def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
+    """Rewrite into the standard basis; exact and terminating.
+
+    Non-standard monomials are processed largest-measure first so that
+    coefficients coalesce before further rewriting.  Each relation step
+    replaces two rows by strictly measure-smaller rows (asserted), which
+    bounds the whole loop.
+    """
+    if isinstance(p, PluckerMonomial):
+        p = PluckerPoly.from_monomial(p)
+    out: dict[Factors, Fraction] = {}
+    pending: dict[Factors, Fraction] = {}
+    heap: list[tuple[tuple[int, ...], Factors]] = []
+    for mono, coeff in p.items():
+        _validate_profile(mono.factors)
+        pending[mono.factors] = pending.get(mono.factors, Fraction(0)) + coeff
+        heapq.heappush(heap, (tuple(-e for e in _measure(mono.factors)), mono.factors))
+    while heap:
+        _, fac = heapq.heappop(heap)
+        coeff = pending.pop(fac, None)
+        if coeff is None or coeff == 0:
+            continue
+        idx = _first_violation(fac)
+        if idx is None:
+            out[fac] = out.get(fac, Fraction(0)) + coeff
+            continue
+        upper, lower = fac[idx], fac[idx + 1]
+        rest = fac[:idx] + fac[idx + 2 :]
+        old_measure = _measure(fac)
+        for sign, row1, row2 in _pair_rewrite(upper, lower):
+            nxt = _canonical_insert(rest, row1, row2)
+            assert _measure(nxt) < old_measure, "rewrite must lower the measure"
+            seen = nxt in pending
+            pending[nxt] = pending.get(nxt, Fraction(0)) + sign * coeff
+            if not seen:
+                heapq.heappush(heap, (tuple(-e for e in _measure(nxt)), nxt))
+    return PluckerPoly(
+        p.n, {PluckerMonomial(p.n, fac): c for fac, c in out.items() if c}
+    )
+
+
+def eval_on_matrix(p: PluckerPoly | PluckerMonomial, matrix) -> Fraction:
+    """Value of the polynomial at the point given by an integer matrix.
+
+    A length-t tuple evaluates as the t x t minor on those rows and the
+    first t columns; singletons therefore read the first column.  All
+    arithmetic is exact.
+    """
+    if isinstance(p, PluckerMonomial):
+        p = PluckerPoly.from_monomial(p)
+    rows = [list(map(int, row)) for row in matrix]
+    width = len(rows[0]) if rows else 0
+    total = Fraction(0)
+    minor_cache: dict[tuple[int, ...], int] = {}
+    for mono, coeff in p.items():
+        value = 1
+        for tup in mono.factors:
+            if len(tup) > width:
+                raise ValueError(
+                    f"tuple {tup} needs {len(tup)} columns, matrix has {width}"
+                )
+            cached = minor_cache.get(tup)
+            if cached is None:
+                sub = [rows[i - 1][: len(tup)] for i in tup]
+                cached = int_det(sub)
+                minor_cache[tup] = cached
+            value *= cached
+            if value == 0:
+                break
+        total += coeff * value
+    return total
+
+
+def seeded_matrices(n: int, width: int, count: int = 10, seed: int = 0) -> list[list[list[int]]]:
+    """Deterministic random integer matrices with entries in [-9, 9]."""
+    rng = random.Random(seed)
+    return [
+        [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n)]
+        for _ in range(count)
+    ]
+
+
+def monomial_from_tableau(t: TableauA) -> PluckerMonomial:
+    return PluckerMonomial(t.n, t.rows)
+
+
+def tableau_from_monomial(m: PluckerMonomial) -> TableauA:
+    return TableauA(m.n, canonical_rows(m.factors))

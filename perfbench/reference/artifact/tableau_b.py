@@ -1,0 +1,270 @@
+"""Spin (type B) tableaux: row operations, admissible pairs, enumeration.
+
+Entries run over 1..2n and the value pairs {t, 2n+1-t} are opposites: a
+row may not contain both, and the torus fixes a tableau exactly when
+opposite values appear equally often.  Consecutive row pairs in the
+paired prefix must be admissible, i.e. linked by a chain of the
+entry-lowering operations s_i.
+"""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
+
+from .weights import FAMILY_B, GroupInstance, ShapeB, shape_from_weight
+
+logger = logging.getLogger(__name__)
+
+
+def s_op(i: int, row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Apply the lowering operation s_i to one row.
+
+    For i < n the operation fires only when both i+1 and 2n+1-i are
+    present, replacing them by i and 2n-i; for i = n it turns n+1 into n.
+    Rows without the required entries are returned unchanged.
+    """
+    if not 1 <= i <= n:
+        raise ValueError(f"operation index {i} outside 1..{n}")
+    if i == n:
+        if n + 1 in row:
+            return tuple(sorted(n if e == n + 1 else e for e in row))
+        return row
+    hi = 2 * n + 1 - i
+    if i + 1 in row and hi in row:
+        replaced = [i if e == i + 1 else (hi - 1 if e == hi else e) for e in row]
+        return tuple(sorted(replaced))
+    return row
+
+
+@lru_cache(maxsize=None)
+def _reachable(start: tuple[int, ...], n: int) -> frozenset[tuple[int, ...]]:
+    # Every s_i strictly lowers the entry multiset when it acts, so this
+    # closure is finite and small.
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        row = frontier.pop()
+        for i in range(1, n + 1):
+            nxt = s_op(i, row, n)
+            if nxt != row and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def is_admissible(r: tuple[int, ...], r2: tuple[int, ...], n: int) -> bool:
+    """Whether the tableau pair (r, r2) is admissible.
+
+    Equal rows always are.  Otherwise the chain of s_i moves runs from
+    the lower row r2 down to the upper row r (the moves only lower
+    entries, and in a standard tableau the upper row is the smaller one).
+    """
+    r, r2 = tuple(r), tuple(r2)
+    if len(r) != len(r2):
+        raise ValueError("admissibility compares rows of equal length")
+    if r == r2:
+        return True
+    return r in _reachable(r2, n)
+
+
+def is_admissible_literal(r: tuple[int, ...], r2: tuple[int, ...], n: int) -> bool:
+    """The opposite chain orientation (r2 reached from r); see module log.
+
+    On standard tableaux this reading only ever accepts equal pairs; it
+    exists so enumeration can flag tableaux whose acceptance depends on
+    the orientation choice.
+    """
+    r, r2 = tuple(r), tuple(r2)
+    if r == r2:
+        return True
+    return r2 in _reachable(r, n)
+
+
+@dataclass(frozen=True)
+class TableauB:
+    """Type-B tableau: rows in fixed order with a paired prefix.
+
+    The first 2*paired_prefix rows form consecutive admissible pairs;
+    the trailing spin_rows rows are exempt.  Row order is significant
+    (unlike type A, rows are not re-sorted).
+    """
+
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+    paired_prefix: int
+    spin_rows: int
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if 2 * self.paired_prefix + self.spin_rows != len(rows):
+            raise ValueError("paired and spin rows must tile the tableau")
+        top = 2 * self.n
+        for row in rows:
+            if not row:
+                raise ValueError("empty row")
+            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+                raise ValueError(f"row {row} is not strictly increasing")
+            if row[0] < 1 or row[-1] > top:
+                raise ValueError(f"row {row} leaves the range 1..{top}")
+            for e in row:
+                if top + 1 - e in row:
+                    raise ValueError(
+                        f"row {row} holds both {e} and {top + 1 - e}"
+                    )
+
+    @property
+    def boxes(self) -> int:
+        return sum(len(r) for r in self.rows)
+
+    def content(self) -> tuple[int, ...]:
+        counts = [0] * (2 * self.n)
+        for row in self.rows:
+            for e in row:
+                counts[e - 1] += 1
+        return tuple(counts)
+
+    def is_standard(self) -> bool:
+        """Strictly increasing rows, columns non-decreasing in row order."""
+        rows = self.rows
+        for upper, lower in zip(rows, rows[1:]):
+            if len(lower) > len(upper):
+                return False
+            if any(upper[j] > lower[j] for j in range(len(lower))):
+                return False
+        return True
+
+    def paired(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        return [
+            (self.rows[2 * i], self.rows[2 * i + 1])
+            for i in range(self.paired_prefix)
+        ]
+
+    def is_admissible_tableau(self) -> bool:
+        return all(is_admissible(a, b, self.n) for a, b in self.paired())
+
+
+@dataclass(frozen=True)
+class HalfWeight:
+    """Weight of a type-B tableau: numerators over a fixed denominator 2."""
+
+    numerators: tuple[int, ...]
+
+    @property
+    def denominator(self) -> int:
+        return 2
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for v in self.numerators)
+
+
+def half_weight(t: TableauB) -> HalfWeight:
+    c = t.content()
+    top = 2 * t.n
+    return HalfWeight(tuple(c[j] - c[top - 1 - j] for j in range(t.n)))
+
+
+def is_t_invariant_b(t: TableauB) -> bool:
+    """Opposite entries t and 2n+1-t must appear equally often."""
+    return half_weight(t).is_zero()
+
+
+def _row_candidates(n: int, length: int) -> list[tuple[int, ...]]:
+    """All valid rows of one length: strictly increasing, no opposite pair."""
+    top = 2 * n
+    out: list[tuple[int, ...]] = []
+
+    def build(prefix: list[int], nxt: int) -> None:
+        if len(prefix) == length:
+            out.append(tuple(prefix))
+            return
+        for e in range(nxt, top + 1):
+            if top + 1 - e in prefix:
+                continue
+            prefix.append(e)
+            build(prefix, e + 1)
+            prefix.pop()
+
+    build([], 1)
+    return out
+
+
+def enumerate_standard_b(
+    instance: GroupInstance, degree: int, *, zero_weight: bool = False
+) -> Iterator[TableauB]:
+    """All standard admissible tableaux of the instance's shape at a degree.
+
+    Rows are produced top to bottom, each ranging over the lexicographic
+    candidates that dominate the previous row entrywise, with the
+    admissibility check applied as soon as a paired row completes.
+    Tableaux accepted here but rejected under the reversed chain
+    orientation are reported on the module logger.
+    """
+    if instance.family != FAMILY_B:
+        raise ValueError("type-B enumeration needs a type-B instance")
+    shape = shape_from_weight(instance, degree)
+    assert isinstance(shape, ShapeB)
+    lengths = shape.row_lengths()
+    if not lengths:
+        yield TableauB(instance.n, (), 0, 0)
+        return
+    n = instance.n
+    top = 2 * n
+    paired = shape.paired_rows
+    spin = shape.spin_part
+    pools = {length: _row_candidates(n, length) for length in set(lengths)}
+    total_boxes = sum(lengths)
+    counts = [0] * top
+    rows: list[tuple[int, ...]] = []
+
+    def imbalance() -> int:
+        return sum(abs(counts[j] - counts[top - 1 - j]) for j in range(n))
+
+    def emit() -> TableauB:
+        t = TableauB(n, tuple(rows), paired, spin)
+        if any(
+            not is_admissible_literal(a, b, n) for a, b in t.paired()
+        ):
+            logger.info(
+                "tableau %s accepted by the downward chain reading only", t.rows
+            )
+        return t
+
+    def place(idx: int, used: int) -> Iterator[TableauB]:
+        if idx == len(lengths):
+            yield emit()
+            return
+        length = lengths[idx]
+        prev = rows[idx - 1] if idx else None
+        for cand in pools[length]:
+            if prev is not None and any(
+                cand[j] < prev[j] for j in range(min(length, len(prev)))
+            ):
+                continue
+            for e in cand:
+                counts[e - 1] += 1
+            rows.append(cand)
+            ok = True
+            if idx % 2 == 1 and idx // 2 < paired:
+                if len(rows[idx - 1]) != length:
+                    raise ValueError("paired rows of unequal length")
+                ok = is_admissible(rows[idx - 1], cand, n)
+            if ok and zero_weight:
+                remaining = total_boxes - used - length
+                ok = imbalance() <= remaining
+            if ok:
+                yield from place(idx + 1, used + length)
+            rows.pop()
+            for e in cand:
+                counts[e - 1] -= 1
+
+    for t in place(0, 0):
+        if not zero_weight or is_t_invariant_b(t):
+            yield t
+
+
+def count_standard_b(instance: GroupInstance, degree: int, *, zero_weight=False) -> int:
+    return sum(1 for _ in enumerate_standard_b(instance, degree, zero_weight=zero_weight))
