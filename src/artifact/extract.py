@@ -515,8 +515,10 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
 def _validate_terms(f: PluckerMonomial, terms: CertTermList) -> None:
     total = PluckerPoly(f.n)
     for coeff, g, h in terms:
-        assert g.is_standard, "generator must be standard"
+        if not g.is_standard:
+            raise AssertionError("generator must be standard")
         total = total + PluckerPoly.from_monomial(g * h, coeff)
     lhs = straighten(total)
     rhs = straighten(PluckerPoly.from_monomial(f))
-    assert lhs == rhs, "extraction identity failed straightening check"
+    if lhs != rhs:
+        raise AssertionError("extraction identity failed straightening check")

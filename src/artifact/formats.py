@@ -60,7 +60,10 @@ def parse_poly(text: str, n: int) -> PluckerPoly:
             continue
         m = re.match(r"\s*(-)?\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?(.*)$", chunk, re.S)
         assert m is not None
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        try:
+            coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk.strip()!r}") from None
         if m.group(1):
             coeff = -coeff
         body = m.group(3)

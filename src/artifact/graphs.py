@@ -405,8 +405,10 @@ def two_factorize(g: LoopedMultigraph) -> list[LoopedMultigraph]:
         out.append(LoopedMultigraph(g.n, back_edges))
     for f in out:
         for v, d in f.degrees().items():
-            assert d == (2 if g.degree(v) else 0), "factor must be 2-regular"
-    assert len(out) == r
+            if d != (2 if g.degree(v) else 0):
+                raise AssertionError("factor must be 2-regular")
+    if len(out) != r:
+        raise AssertionError(f"expected {r} 2-factors, found {len(out)}")
     return out
 
 

@@ -4,7 +4,7 @@ Monomials are multisets of strictly increasing index tuples, canonically
 arranged longest-first then lexicographic.  ``straighten`` rewrites any
 polynomial into the standard-monomial basis using quadratic exchange
 relations in their multi-element shuffle form; every rewrite strictly
-lowers the concatenated-rows measure, which is asserted per step.  An
+lowers the concatenated-rows measure, which is checked per step.  An
 evaluation oracle on integer matrices keeps the algebra honest.
 """
 
@@ -257,8 +257,8 @@ def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
 
     Non-standard monomials are processed largest-measure first so that
     coefficients coalesce before further rewriting.  Each relation step
-    replaces two rows by strictly measure-smaller rows (asserted), which
-    bounds the whole loop.
+    replaces two rows by strictly measure-smaller rows (checked, also
+    under ``python -O``), which bounds the whole loop.
     """
     if isinstance(p, PluckerMonomial):
         p = PluckerPoly.from_monomial(p)
@@ -283,11 +283,13 @@ def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
         old_measure = _measure(fac)
         for sign, row1, row2 in _pair_rewrite(upper, lower):
             nxt = _canonical_insert(rest, row1, row2)
-            assert _measure(nxt) < old_measure, "rewrite must lower the measure"
+            measure = _measure(nxt)
+            if not measure < old_measure:
+                raise AssertionError("rewrite must lower the measure")
             seen = nxt in pending
             pending[nxt] = pending.get(nxt, Fraction(0)) + sign * coeff
             if not seen:
-                heapq.heappush(heap, (tuple(-e for e in _measure(nxt)), nxt))
+                heapq.heappush(heap, (tuple(-e for e in measure), nxt))
     return PluckerPoly(
         p.n, {PluckerMonomial(p.n, fac): c for fac, c in out.items() if c}
     )

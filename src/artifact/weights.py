@@ -271,22 +271,34 @@ _FLAG = re.compile(r"^fl(\d)(\d)(\d)$")
 _SPIN = re.compile(r"^spin(\d+)w(\d)$")
 
 
+def catalog_instance(label: str) -> GroupInstance | None:
+    """The catalog entry with this label, if there is one."""
+    for inst in catalog_instances():
+        if inst.label == label:
+            return inst
+    return None
+
+
+def grassmannian(r: int, n: int, label: str) -> GroupInstance:
+    """G(r, n) with bundle multiple n, as built for labels outside the catalog."""
+    if not 1 <= r < n:
+        raise ValueError(f"bad Grassmannian label {label!r}")
+    weight = tuple(1 if i + 1 == r else 0 for i in range(n - 1))
+    return GroupInstance(FAMILY_A, n, (r,), weight, n, label)
+
+
 def instance_by_label(label: str) -> GroupInstance:
     """Resolve a label like g26, fl411 or spin7w2 to an instance.
 
     Catalog labels win; other well-formed labels are built on the fly so
     the CLI can address cases beyond the shipped manifest.
     """
-    for inst in catalog_instances():
-        if inst.label == label:
-            return inst
+    inst = catalog_instance(label)
+    if inst is not None:
+        return inst
     m = _GRASSMANN.match(label)
     if m:
-        r, n = int(m.group(1)), int(m.group(2))
-        if not 1 <= r < n:
-            raise ValueError(f"bad Grassmannian label {label!r}")
-        weight = tuple(1 if i + 1 == r else 0 for i in range(n - 1))
-        return GroupInstance(FAMILY_A, n, (r,), weight, n, label)
+        return grassmannian(int(m.group(1)), int(m.group(2)), label)
     m = _FLAG.match(label)
     if m:
         n, r1, r2 = (int(m.group(i)) for i in (1, 2, 3))

@@ -11,7 +11,10 @@ import itertools
 import random
 from collections import Counter
 
+from artifact.linalg import exact_rank
+from artifact.plucker import PluckerMonomial, straighten
 from artifact.tableau_b import TableauB, is_t_invariant_b
+from artifact.verifier import _partitions, basis_monomials
 from artifact.weights import GroupInstance, ShapeB, shape_from_weight
 
 
@@ -233,3 +236,36 @@ def random_bipartite_regular(
         rng.shuffle(perm)
         edges += [(i, perm[i]) for i in range(n)]
     return edges
+
+
+def full_product_rank(instance: GroupInstance, k: int, d: int) -> tuple[int, int, str]:
+    """(dim, rank, verdict) of a generation check done the brute-force way.
+
+    Every product of lower-degree basis monomials over every partition of
+    k with parts <= d is straightened, and the exact rank of all the
+    coordinate rows is taken at once.
+    """
+    basis_k = basis_monomials(instance, k)
+    dim = len(basis_k)
+    if k <= d:
+        return dim, dim, "pass"
+    index = {m: i for i, m in enumerate(basis_k)}
+    lower = {j: basis_monomials(instance, j) for j in range(1, min(d, k - 1) + 1)}
+    rows = []
+    for parts in _partitions(k, min(d, k - 1)):
+        pools = [
+            itertools.combinations_with_replacement(lower[j], c)
+            for j, c in sorted(Counter(parts).items())
+        ]
+        for pick in itertools.product(*pools):
+            mono = PluckerMonomial(instance.n, ())
+            for group in pick:
+                for m in group:
+                    mono = mono * m
+            row = [0] * dim
+            for term, coeff in straighten(mono).items():
+                assert coeff.denominator == 1
+                row[index[term]] = int(coeff)
+            rows.append(row)
+    rank = exact_rank(rows) if rows and dim else 0
+    return dim, rank, "pass" if rank == dim else "fail"

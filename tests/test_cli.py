@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -105,6 +106,12 @@ class TestStraighten:
             {"coeff": "1", "monomial": "p[1,3] p[2,4]"},
         ]
 
+    def test_zero_denominator_is_a_clean_error(self, capsys):
+        code, out, err = run(capsys, "straighten", "-n", "4", "1/0 * p[1,2]")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "zero denominator" in err
+
     def test_standard_input_is_a_fixed_point(self, capsys):
         code, out, _ = run(capsys, "straighten", "-n", "5", "p[1,3] p[4,5]")
         assert code == 0
@@ -204,6 +211,15 @@ class TestDuality:
         assert code == 0
         assert payload["left"] == "g26"
         assert payload["right"] == "g46"
+        assert payload["verdict"] == "pass"
+
+    def test_two_digit_n(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "duality", "1", "10", "--k-max", "1", "--format", "json")
+        assert time.perf_counter() - start < 0.1
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["degrees"] == [{"k": 1, "left": 1, "right": 1}]
         assert payload["verdict"] == "pass"
 
 

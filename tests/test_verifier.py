@@ -1,10 +1,16 @@
 """Generation-degree certification, type-B splitting, duality, suites."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import artifact
 import artifact.verifier as verifier
 from artifact.plucker import PluckerMonomial
 from artifact.verifier import (
@@ -15,9 +21,27 @@ from artifact.verifier import (
     factor_by_linear_algebra,
     run_instance_check,
     run_paper_suite,
+    split_residue,
     validate_certificate,
 )
 from artifact.weights import FAMILY_B, GroupInstance, instance_by_label
+from oracles import full_product_rank
+
+ORACLE_GRID = (
+    [("g24", k, 1) for k in (2, 3, 4)]
+    + [("g25", k, 1) for k in (2, 3)]
+    + [("g26", k, 1) for k in (2, 3)]
+    + [("g36", k, d) for k in (2, 3, 4) for d in (1, 2)]
+    + [("fl311", k, 1) for k in (2, 3, 5)]
+    + [("fl411", k, 1) for k in (2, 3)]
+    + [("fl412", 2, 1), ("fl421", 2, 1), ("fl511", 2, 1), ("fl322", 3, 1)]
+)
+
+
+def residue_size(label: str, k: int, d: int) -> int:
+    inst = instance_by_label(label)
+    lower = {j: basis_monomials(inst, j) for j in range(1, min(d, k - 1) + 1)}
+    return len(split_residue(basis_monomials(inst, k), k, lower))
 
 
 class TestCheckGeneration:
@@ -55,6 +79,28 @@ class TestCheckGeneration:
         monkeypatch.setattr(verifier, "BUDGET_ENTRIES", 10)
         with pytest.raises(ValueError, match="budget"):
             check_generation(instance_by_label("g24"), 2, 1)
+
+    @pytest.mark.parametrize("label, k, d", ORACLE_GRID)
+    def test_matches_the_full_product_oracle(self, label, k, d):
+        inst = instance_by_label(label)
+        report = check_generation(inst, k, d)
+        assert (report.dim, report.rank, report.verdict) == full_product_rank(inst, k, d)
+
+    @pytest.mark.parametrize(
+        "label, k, d, size",
+        [("fl511", 3, 1, 8), ("g36", 3, 1, 10), ("g36", 4, 1, 30), ("g26", 4, 1, 0)],
+    )
+    def test_residue_sizes(self, label, k, d, size):
+        assert residue_size(label, k, d) == size
+
+    def test_split_pieces_need_no_straightening(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("a split piece was straightened")
+
+        monkeypatch.setattr(verifier, "straighten", refuse)
+        report = check_generation(instance_by_label("g26"), 3, 1)
+        assert report.passed
+        assert (report.dim, report.rank) == (175, 175)
 
     def test_serialized_report_has_stable_keys(self):
         report = check_generation(instance_by_label("g24"), 2, 1)
@@ -207,3 +253,53 @@ class TestValidateCertificate:
     def test_empty_certificate_never_matches_a_monomial(self):
         inst, f, _ = self._certificate()
         assert not validate_certificate(inst, f, [])
+
+
+TRIPPED_CHECKS = textwrap.dedent(
+    """
+    import sys
+    from fractions import Fraction
+
+    import artifact.graphs as graphs
+    import artifact.plucker as plucker
+    from artifact.extract import _validate_terms
+    from artifact.graphs import LoopedMultigraph, two_factorize
+    from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
+    from artifact.verifier import _residue_row
+
+    assert False, "plain asserts are stripped under -O"
+    mono = PluckerMonomial(4, ((1, 2), (3, 4)))
+    half = PluckerPoly.from_monomial(mono, Fraction(1, 2))
+    whole = PluckerPoly.from_monomial(mono)
+    matchings = graphs.one_factorize_bipartite
+    checks = {
+        "integral row": lambda: _residue_row(half, {mono.factors}, {}),
+        "in piece": lambda: _residue_row(whole, set(), {}),
+        "extraction identity": lambda: _validate_terms(mono, []),
+        "measure decrease": lambda: straighten(PluckerMonomial(4, ((1, 4), (2, 3)))),
+        "2-regular factor": lambda: two_factorize(
+            LoopedMultigraph(3, [(1, 2), (2, 3), (1, 3), (1, 2), (2, 3), (1, 3)])
+        ),
+    }
+    plucker._pair_rewrite = lambda upper, lower: ((1, upper, lower),)
+    graphs.one_factorize_bipartite = lambda *a: [m[:-1] for m in matchings(*a)]
+    for name, check in checks.items():
+        try:
+            check()
+        except AssertionError:
+            print(name)
+    """
+)
+
+
+def test_invariant_checks_survive_optimized_mode():
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", TRIPPED_CHECKS],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "integral row", "in piece", "extraction identity",
+        "measure decrease", "2-regular factor",
+    ]
