@@ -114,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite", parents=[common], help="run every manifest entry"
     )
     p.add_argument("--manifest", help="JSON manifest path (default: packaged catalog)")
-    p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -247,7 +246,7 @@ def _cmd_duality(args) -> int:
 
 def _cmd_suite(args) -> int:
     entries = load_manifest(args.manifest) if args.manifest else None
-    reports = run_paper_suite(entries, jobs=max(1, args.jobs))
+    reports = run_paper_suite(entries)
     _print_reports(reports, args.format)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -133,7 +133,8 @@ def one_factor_selection(g: LoopedMultigraph) -> LoopedMultigraph:
             raise ExtractionStuck(f"cannot select a matching from {kind}")
     out = LoopedMultigraph(g.n, chosen)
     for v, d in g.degrees().items():
-        assert out.degree(v) == (1 if d else 0), "selection must be 1-regular"
+        if out.degree(v) != (1 if d else 0):
+            raise AssertionError("selection must be 1-regular")
     return out
 
 
@@ -330,7 +331,8 @@ def rebalance_loops(
                 best = (score, branches)
             if score == 2:
                 break
-        assert best is not None
+        if best is None:
+            raise AssertionError("a relation was found but never scored")
         for sign, hb in best[1]:
             work.append((coeff * sign, cg, hb))
     return done
@@ -420,7 +422,8 @@ def _split_candidate(
             if fixed % 2 == 1:
                 chosen = mt
                 break
-        assert chosen is not None, "some matching must fix an odd set"
+        if chosen is None:
+            raise AssertionError("some matching must fix an odd set")
     pi = {l + 1: r + 1 for l, r in chosen}
     sel_edges: list[Edge] = []
     seen: set[int] = set()
@@ -448,7 +451,8 @@ def _split_candidate(
         m = one_factor_selection(repaired)
         rem = graph_difference(repaired, m)
         full_rem = _union(n, [rest, rem])
-        assert full_rem.is_regular(k * s - 1), "remainder degree drifted"
+        if not full_rem.is_regular(k * s - 1):
+            raise AssertionError("remainder degree drifted")
         rfactors = two_factorize(full_rem)
         take = (s - 1) // 2
         g_t = _union(n, [m] + rfactors[:take])

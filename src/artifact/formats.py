@@ -59,7 +59,8 @@ def parse_poly(text: str, n: int) -> PluckerPoly:
         if not chunk.strip():
             continue
         m = re.match(r"\s*(-)?\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?(.*)$", chunk, re.S)
-        assert m is not None
+        if m is None:
+            raise AssertionError("the term pattern matches any text")
         try:
             coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
         except ZeroDivisionError:

@@ -254,10 +254,12 @@ def normalize_loops(g: LoopedMultigraph) -> tuple[LoopedMultigraph, Provenance]:
         while per_vertex[v] >= 2:
             per_vertex[v] -= 2
             tagged.append(((v, v), ("loops", (v, v))))
-    assert all(per_vertex[v] == 0 for v in vertices)
+    if any(per_vertex[v] for v in vertices):
+        raise AssertionError("every loop must be paired off")
     tagged.sort(key=lambda t: t[0])
     classical = LoopedMultigraph(g.n, [e for e, _ in tagged])
-    assert classical.edges == [e for e, _ in tagged], "sort must align"
+    if classical.edges != [e for e, _ in tagged]:
+        raise AssertionError("sort must align")
     provenance = {i: src for i, (_, src) in enumerate(tagged)}
     return classical, provenance
 
@@ -295,7 +297,8 @@ def _euler_circuit(n: int, edges: list[tuple[int, Edge]]) -> list[tuple[int, int
         else:
             stack.append((found[1], found[0]))
     path.reverse()
-    assert len(path) == len(edges), "component must be connected with even degrees"
+    if len(path) != len(edges):
+        raise AssertionError("component must be connected with even degrees")
     return path
 
 
@@ -343,7 +346,8 @@ def one_factorize_bipartite(
         for e in matching:
             remaining[e] -= 1
         factors.append(matching)
-    assert not +remaining
+    if +remaining:
+        raise AssertionError("matchings must use every edge")
     return factors
 
 

@@ -221,7 +221,8 @@ def _shuffle_rewrite(upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple:
     gamma = upper[:t]
     delta = lower[t + 1 :]
     pool = sorted(lower[: t + 1] + upper[t:])
-    assert len(set(pool)) == r + 1, "shuffle pool must have distinct entries"
+    if len(set(pool)) != r + 1:
+        raise AssertionError("shuffle pool must have distinct entries")
     take = r - t
     identity_sign = None
     raw: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
@@ -238,7 +239,8 @@ def _shuffle_rewrite(upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple:
             identity_sign = coeff
             continue
         raw.append((coeff, x, y))
-    assert identity_sign is not None, "identity term missing from shuffle"
+    if identity_sign is None:
+        raise AssertionError("identity term missing from shuffle")
     return tuple((-c * identity_sign, x, y) for c, x, y in raw)
 
 

@@ -9,14 +9,11 @@ entry-lowering operations s_i.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .weights import FAMILY_B, GroupInstance, ShapeB, shape_from_weight
-
-logger = logging.getLogger(__name__)
 
 
 def s_op(i: int, row: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -68,19 +65,6 @@ def is_admissible(r: tuple[int, ...], r2: tuple[int, ...], n: int) -> bool:
     if r == r2:
         return True
     return r in _reachable(r2, n)
-
-
-def is_admissible_literal(r: tuple[int, ...], r2: tuple[int, ...], n: int) -> bool:
-    """The opposite chain orientation (r2 reached from r); see module log.
-
-    On standard tableaux this reading only ever accepts equal pairs; it
-    exists so enumeration can flag tableaux whose acceptance depends on
-    the orientation choice.
-    """
-    r, r2 = tuple(r), tuple(r2)
-    if r == r2:
-        return True
-    return r2 in _reachable(r, n)
 
 
 @dataclass(frozen=True)
@@ -200,13 +184,12 @@ def enumerate_standard_b(
     Rows are produced top to bottom, each ranging over the lexicographic
     candidates that dominate the previous row entrywise, with the
     admissibility check applied as soon as a paired row completes.
-    Tableaux accepted here but rejected under the reversed chain
-    orientation are reported on the module logger.
     """
     if instance.family != FAMILY_B:
         raise ValueError("type-B enumeration needs a type-B instance")
     shape = shape_from_weight(instance, degree)
-    assert isinstance(shape, ShapeB)
+    if not isinstance(shape, ShapeB):
+        raise AssertionError("a type-B instance has a spin shape")
     lengths = shape.row_lengths()
     if not lengths:
         yield TableauB(instance.n, (), 0, 0)
@@ -223,19 +206,9 @@ def enumerate_standard_b(
     def imbalance() -> int:
         return sum(abs(counts[j] - counts[top - 1 - j]) for j in range(n))
 
-    def emit() -> TableauB:
-        t = TableauB(n, tuple(rows), paired, spin)
-        if any(
-            not is_admissible_literal(a, b, n) for a, b in t.paired()
-        ):
-            logger.info(
-                "tableau %s accepted by the downward chain reading only", t.rows
-            )
-        return t
-
     def place(idx: int, used: int) -> Iterator[TableauB]:
         if idx == len(lengths):
-            yield emit()
+            yield TableauB(n, tuple(rows), paired, spin)
             return
         length = lengths[idx]
         prev = rows[idx - 1] if idx else None

@@ -1,15 +1,16 @@
 """Exact certification of generation-degree bounds and factorizations.
 
-Type-A instances are checked split first: a basis element of the target
-graded piece that divides into lower-degree basis monomials is itself a
-standard product, so it lies in the span with no algebra.  Only the
-unsplit residue goes to linear algebra: non-standard products are
+Both families are checked split first, through one memoized splitter: a
+basis element of the target graded piece that divides into lower-degree
+basis elements is itself a product of them, so it lies in the span with
+no algebra.  In type A the units of an element are its rows; the unsplit
+residue goes to linear algebra, where non-standard products are
 straightened, projected onto the residue coordinates and rank-tracked.
 A pass is certified by the explicit splits plus a full modular rank on
-the residue; a fail by an exact recount of the residue projection.
-Type-B instances are checked combinatorially by splitting each basis
-tableau into invariant row bundles of low degree.  The fast modular
-rank is only ever used to certify success, never failure.
+the residue, a fail by an exact recount of the residue projection.  In
+type B the units are intact row pairs and spin rows, and the check
+counts the split elements.  The fast modular rank is only ever used to
+certify success, never failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .extract import degree_one_basis
 from .linalg import RankTracker, solve_rational
@@ -33,16 +35,16 @@ from .plucker import (
     straighten,
 )
 from .tableau_a import count_standard, enumerate_standard, rows_standard
-from .tableau_b import TableauB, enumerate_standard_b, is_t_invariant_b
+from .tableau_b import TableauB, enumerate_standard_b
 from .weights import (
     FAMILY_A,
     FAMILY_B,
     GroupInstance,
-    ShapeB,
     catalog_instance,
     default_generation_degree,
     descent_ok,
     grassmannian,
+    grassmannian_label,
     instance_from_entry,
     shape_from_weight,
 )
@@ -138,16 +140,56 @@ def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomia
     ]
 
 
-def _divide(factors: Factors, divisor: Factors) -> Factors | None:
-    """Quotient of two canonically arranged row multisets, or None."""
+def _divide(units: tuple, divisor: tuple) -> tuple | None:
+    """Quotient of two unit multisets sorted the same way, or None."""
     rest = []
     i = 0
-    for row in factors:
-        if i < len(divisor) and row == divisor[i]:
+    for unit in units:
+        if i < len(divisor) and unit == divisor[i]:
             i += 1
         else:
-            rest.append(row)
+            rest.append(unit)
     return tuple(rest) if i == len(divisor) else None
+
+
+def unit_splitter(
+    lower: dict[int, list[tuple]],
+) -> Callable[[tuple, int], list[tuple] | None]:
+    """Memoized division of canonical unit tuples into lower basis pieces.
+
+    ``lower`` maps each generator degree j to the unit tuples of the
+    degree-j basis, every tuple sorted the same way.  The returned
+    ``split(units, degree)`` gives the pieces whose units multiply out to
+    ``units`` (the piece holding the head unit first), or None.  A piece
+    that divides the element must hold its head unit, so only the pieces
+    filed under that head are tried; a remainder of generator degree must
+    itself be a lower basis element.
+    """
+    top = max(lower, default=0)
+    members = {j: set(pieces) for j, pieces in lower.items()}
+    by_head: dict[int, dict[object, list[tuple]]] = {j: {} for j in lower}
+    for j, pieces in lower.items():
+        for piece in pieces:
+            by_head[j].setdefault(piece[0], []).append(piece)
+    memo: dict[tuple, list[tuple] | None] = {}
+
+    def split(units: tuple, degree: int) -> list[tuple] | None:
+        if degree <= top:
+            return [units] if units in members.get(degree, ()) else None
+        if units not in memo:
+            memo[units] = next(
+                (
+                    [piece, *sub]
+                    for j, heads in by_head.items()
+                    for piece in heads.get(units[0], ())
+                    if (rest := _divide(units, piece)) is not None
+                    and (sub := split(rest, degree - j)) is not None
+                ),
+                None,
+            )
+        return memo[units]
+
+    return split
 
 
 def split_residue(
@@ -155,37 +197,14 @@ def split_residue(
 ) -> list[PluckerMonomial]:
     """The degree-k basis elements that are no product of lower ones.
 
-    ``lower`` maps each generator degree j to the degree-j basis.  An
-    element splits when a lower basis monomial divides it and the quotient
-    splits in turn, down to a member of the generator bases.  The quotient
-    of a standard zero-weight monomial by a standard zero-weight divisor is
-    again one of degree k - j, since column lengths add up across degrees,
-    so peeling divisors that hold the element's first row finds every
+    ``lower`` maps each generator degree j to the degree-j basis; the
+    units are rows.  The quotient of a standard zero-weight monomial by a
+    standard zero-weight divisor is again one of degree k - j, since
+    column lengths add up across degrees, so the splitter finds every
     split.  Returns the unsplit residue in basis order.
     """
-    top = max(lower, default=0)
-    members = {j: {m.factors for m in monos} for j, monos in lower.items()}
-    by_head: dict[int, dict[tuple[int, ...], list[Factors]]] = {j: {} for j in lower}
-    for j, monos in lower.items():
-        for m in monos:
-            by_head[j].setdefault(m.factors[0], []).append(m.factors)
-    memo: dict[Factors, bool] = {}
-
-    def splits(factors: Factors, degree: int) -> bool:
-        if degree <= top:
-            return factors in members.get(degree, ())
-        hit = memo.get(factors)
-        if hit is None:
-            hit = any(
-                (rest := _divide(factors, piece)) is not None
-                and splits(rest, degree - j)
-                for j, heads in by_head.items()
-                for piece in heads.get(factors[0], ())
-            )
-            memo[factors] = hit
-        return hit
-
-    return [m for m in basis if not splits(m.factors, k)]
+    split = unit_splitter({j: [m.factors for m in monos] for j, monos in lower.items()})
+    return [m for m in basis if split(m.factors, k) is None]
 
 
 def _residue_row(
@@ -312,80 +331,16 @@ def _b_units(t: TableauB) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(sorted(units))
 
 
-def _b_piece_degree(
-    instance: GroupInstance, rows: tuple[tuple[int, ...], ...]
-) -> int | None:
-    """Degree j if the rows form a valid degree-j basis tableau, else None."""
-    unit_boxes = shape_from_weight(instance, 1).boxes
-    boxes = sum(len(r) for r in rows)
-    if boxes == 0 or boxes % unit_boxes:
-        return None
-    j = boxes // unit_boxes
-    shape = shape_from_weight(instance, j)
-    assert isinstance(shape, ShapeB)
-    ordered = tuple(sorted(rows, key=lambda r: (-len(r), r)))
-    if tuple(len(r) for r in ordered) != shape.row_lengths():
-        return None
-    try:
-        tab = TableauB(instance.n, ordered, shape.paired_rows, shape.spin_part)
-    except ValueError:
-        return None
-    if not (tab.is_standard() and tab.is_admissible_tableau() and is_t_invariant_b(tab)):
-        return None
-    return j
-
-
-def _split_b_units(
-    instance: GroupInstance,
-    units: tuple[tuple[tuple[int, ...], ...], ...],
-    degree: int,
-    d: int,
-    memo: dict,
-) -> list[tuple[tuple[int, ...], ...]] | None:
-    """Partition the units into valid invariant pieces of degree <= d."""
-    if degree <= d:
-        if not units:
-            return []
-        rows = tuple(r for unit in units for r in unit)
-        # the remainder must still stand on its own as a basis element
-        return [rows] if _b_piece_degree(instance, rows) == degree else None
-    key = (units, degree)
-    if key in memo:
-        return memo[key]
-    result = None
-    for j in range(1, min(d, degree - 1) + 1):
-        tried: set[tuple] = set()
-        for size in range(1, len(units)):
-            for idx in itertools.combinations(range(len(units)), size):
-                combo = tuple(units[i] for i in idx)
-                if combo in tried:
-                    continue
-                tried.add(combo)
-                rows = tuple(r for unit in combo for r in unit)
-                if _b_piece_degree(instance, rows) != j:
-                    continue
-                rest = tuple(
-                    units[i] for i in range(len(units)) if i not in set(idx)
-                )
-                sub = _split_b_units(instance, rest, degree - j, d, memo)
-                if sub is not None:
-                    result = [rows] + sub
-                    break
-            if result is not None:
-                break
-        if result is not None:
-            break
-    memo[key] = result
-    return result
-
-
 def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> GenerationReport:
-    """Split every degree-k basis tableau into pieces of degree <= d.
+    """Split every degree-k basis tableau into basis pieces of degree <= d.
 
-    Each zero-weight standard admissible tableau either factors through
-    its row bundles (intact pairs and spin rows) into valid lower-degree
-    invariants, or counts against the verdict.  Witness splits are
-    recorded per basis element.
+    The units of a tableau are its intact row pairs and its spin rows.
+    Each zero-weight standard admissible tableau either divides, unit by
+    unit, into the units of lower-degree basis tableaux (through the same
+    splitter as type A), or counts against the verdict, so ``rank`` is the
+    number of split elements.  Witness splits are recorded per basis
+    element, each part flattened to rows; for k <= d the one part is the
+    whole element.
     """
     if instance.family != FAMILY_B:
         raise ValueError("type-B factorization needs a type-B instance")
@@ -393,26 +348,25 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
     label = _label(instance)
     unit_boxes = shape_from_weight(instance, 1).boxes
     basis = list(enumerate_standard_b(instance, k, zero_weight=True))
-    dim = len(basis)
+    split = unit_splitter({
+        j: [_b_units(t) for t in enumerate_standard_b(instance, j, zero_weight=True)]
+        for j in (range(1, d + 1) if k > d else ())
+    })
     witnesses: list[dict] = []
     ok = 0
-    memo: dict = {}
     piece_degrees: Counter = Counter()
     for tab in basis:
         units = _b_units(tab)
-        split = _split_b_units(instance, units, k, d, memo)
-        entry: dict = {"element": [list(r) for r in tab.rows]}
-        if split is not None:
+        parts = [units] if k <= d else split(units, k)
+        entry: dict = {"element": [list(r) for r in tab.rows], "parts": None}
+        if parts is not None:
             ok += 1
-            entry["parts"] = [[list(r) for r in part] for part in split]
-            for part in split:
-                piece_degrees[sum(len(r) for r in part) // unit_boxes] += 1
-        else:
-            entry["parts"] = None
+            entry["parts"] = [[list(r) for unit in part for r in unit] for part in parts]
+            for rows in entry["parts"]:
+                piece_degrees[sum(map(len, rows)) // unit_boxes] += 1
         witnesses.append(entry)
-    verdict = "pass" if ok == dim else "fail"
     return GenerationReport(
-        label, k, d, dim, ok, verdict,
+        label, k, d, len(basis), ok, "pass" if ok == len(basis) else "fail",
         witnesses=witnesses,
         generators_used=sorted(piece_degrees.items()),
         elapsed=time.perf_counter() - start,
@@ -421,7 +375,7 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
 
 def _grassmannian_side(r: int, n: int) -> GroupInstance:
     # a catalog entry under the label g<r><n> keeps its own multiple
-    label = f"g{r}{n}"
+    label = grassmannian_label(r, n)
     return catalog_instance(label) or grassmannian(r, n, label)
 
 
@@ -466,31 +420,22 @@ def run_instance_check(
     return check_typeB_factorization(instance, k, d)
 
 
-def run_paper_suite(
-    entries: list[dict] | None = None, jobs: int = 1
-) -> list[GenerationReport]:
-    """Run every manifest entry; defaults to the packaged catalog.
+def run_paper_suite(entries: list[dict] | None = None) -> list[GenerationReport]:
+    """Run every manifest entry, in order; defaults to the packaged catalog.
 
     Optional per-entry keys "k" (default 2) and "genDegree" (default the
-    instance's expected generation degree) drive the check.  With
-    ``jobs`` > 1 the checks run on a thread pool; the report order is
-    the manifest order either way.
+    instance's expected generation degree) drive the check.
     """
     from .weights import _load_catalog
 
     raw = entries if entries is not None else _load_catalog()
-    plan = []
+    reports = []
     for entry in raw:
         instance = instance_from_entry(entry)
         k = int(entry.get("k", 2))
         d = int(entry.get("genDegree", default_generation_degree(instance)))
-        plan.append((instance, k, d))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: run_instance_check(*t), plan))
-    return [run_instance_check(*t) for t in plan]
+        reports.append(run_instance_check(instance, k, d))
+    return reports
 
 
 def factor_by_linear_algebra(

@@ -266,7 +266,7 @@ def catalog_instances() -> list[GroupInstance]:
     return [instance_from_entry(e) for e in _load_catalog()]
 
 
-_GRASSMANN = re.compile(r"^g(\d)(\d)$")
+_GRASSMANN = re.compile(r"^g(\d)(\d)$|^g(\d+)_(\d+)$")
 _FLAG = re.compile(r"^fl(\d)(\d)(\d)$")
 _SPIN = re.compile(r"^spin(\d+)w(\d)$")
 
@@ -279,6 +279,11 @@ def catalog_instance(label: str) -> GroupInstance | None:
     return None
 
 
+def grassmannian_label(r: int, n: int) -> str:
+    """g<r><n>, or g<r>_<n> once r or n has two digits."""
+    return f"g{r}{n}" if r < 10 and n < 10 else f"g{r}_{n}"
+
+
 def grassmannian(r: int, n: int, label: str) -> GroupInstance:
     """G(r, n) with bundle multiple n, as built for labels outside the catalog."""
     if not 1 <= r < n:
@@ -288,7 +293,7 @@ def grassmannian(r: int, n: int, label: str) -> GroupInstance:
 
 
 def instance_by_label(label: str) -> GroupInstance:
-    """Resolve a label like g26, fl411 or spin7w2 to an instance.
+    """Resolve a label like g26, g2_10, fl411 or spin7w2 to an instance.
 
     Catalog labels win; other well-formed labels are built on the fly so
     the CLI can address cases beyond the shipped manifest.
@@ -298,7 +303,10 @@ def instance_by_label(label: str) -> GroupInstance:
         return inst
     m = _GRASSMANN.match(label)
     if m:
-        return grassmannian(int(m.group(1)), int(m.group(2)), label)
+        r, n = (int(g) for g in m.groups() if g is not None)
+        if grassmannian_label(r, n) != label:
+            raise ValueError(f"bad Grassmannian label {label!r}")
+        return grassmannian(r, n, label)
     m = _FLAG.match(label)
     if m:
         n, r1, r2 = (int(m.group(i)) for i in (1, 2, 3))

@@ -13,8 +13,8 @@ from collections import Counter
 
 from artifact.linalg import exact_rank
 from artifact.plucker import PluckerMonomial, straighten
-from artifact.tableau_b import TableauB, is_t_invariant_b
-from artifact.verifier import _partitions, basis_monomials
+from artifact.tableau_b import TableauB, enumerate_standard_b, is_t_invariant_b
+from artifact.verifier import _b_units, _partitions, basis_monomials
 from artifact.weights import GroupInstance, ShapeB, shape_from_weight
 
 
@@ -269,3 +269,60 @@ def full_product_rank(instance: GroupInstance, k: int, d: int) -> tuple[int, int
             rows.append(row)
     rank = exact_rank(rows) if rows and dim else 0
     return dim, rank, "pass" if rank == dim else "fail"
+
+
+def _b_piece_degree(instance: GroupInstance, rows) -> int | None:
+    """Degree j if the rows, re-sorted, form a degree-j basis tableau."""
+    unit_boxes = shape_from_weight(instance, 1).boxes
+    boxes = sum(len(r) for r in rows)
+    if boxes == 0 or boxes % unit_boxes:
+        return None
+    j = boxes // unit_boxes
+    shape = shape_from_weight(instance, j)
+    ordered = tuple(sorted(rows, key=lambda r: (-len(r), r)))
+    if tuple(len(r) for r in ordered) != shape.row_lengths():
+        return None
+    try:
+        tab = TableauB(instance.n, ordered, shape.paired_rows, shape.spin_part)
+    except ValueError:
+        return None
+    if not (tab.is_standard() and tab.is_admissible_tableau() and is_t_invariant_b(tab)):
+        return None
+    return j
+
+
+def _split_units(instance: GroupInstance, units, degree: int, d: int, memo: dict):
+    """Partition the units into valid pieces of degree <= d, trying every subset."""
+    if degree <= d:
+        rows = tuple(r for unit in units for r in unit)
+        return [rows] if _b_piece_degree(instance, rows) == degree else None
+    key = (units, degree)
+    if key not in memo:
+        memo[key] = None
+        for j in range(1, min(d, degree - 1) + 1):
+            for size in range(1, len(units)):
+                for idx in itertools.combinations(range(len(units)), size):
+                    rows = tuple(r for i in idx for r in units[i])
+                    if _b_piece_degree(instance, rows) != j:
+                        continue
+                    rest = tuple(u for i, u in enumerate(units) if i not in idx)
+                    sub = _split_units(instance, rest, degree - j, d, memo)
+                    if sub is not None:
+                        memo[key] = [rows] + sub
+                        return memo[key]
+    return memo[key]
+
+
+def unit_split_count(instance: GroupInstance, k: int, d: int) -> tuple[int, int, str]:
+    """(dim, rank, verdict) of a type-B check by exhaustive subset search.
+
+    Each basis tableau's units (intact row pairs and spin rows) are split
+    by trying every subset of them as a piece, validated by rebuilding a
+    tableau from its rows; rank counts the elements that split.
+    """
+    basis = list(enumerate_standard_b(instance, k, zero_weight=True))
+    memo: dict = {}
+    rank = sum(
+        _split_units(instance, _b_units(t), k, d, memo) is not None for t in basis
+    )
+    return len(basis), rank, "pass" if rank == len(basis) else "fail"

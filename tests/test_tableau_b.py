@@ -1,7 +1,5 @@
 """Spin tableaux: row operations, admissibility, weights, enumeration."""
 
-import logging
-
 import pytest
 
 from artifact.tableau_b import (
@@ -10,7 +8,6 @@ from artifact.tableau_b import (
     enumerate_standard_b,
     half_weight,
     is_admissible,
-    is_admissible_literal,
     is_t_invariant_b,
     s_op,
 )
@@ -68,12 +65,6 @@ class TestAdmissibility:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             is_admissible((1,), (1, 2), 3)
-
-    def test_literal_orientation_only_accepts_equal_standard_pairs(self):
-        assert is_admissible_literal((2, 5), (2, 5), 3)
-        assert not is_admissible_literal((1, 3), (1, 4), 3)
-        # the reversed reading does accept inverted pairs
-        assert is_admissible_literal((1, 4), (1, 3), 3)
 
 
 class TestTableauValidation:
@@ -193,12 +184,11 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="type-B"):
             list(enumerate_standard_b(instance_by_label("g24"), 1))
 
-    def test_orientation_divergences_are_logged(self, caplog):
+    def test_downward_reading_admits_two_unequal_pairs(self):
+        # the reversed chain reading would reject exactly these two tableaux
         inst = instance_by_label("spin7w2")
-        with caplog.at_level(logging.INFO, logger="artifact.tableau_b"):
-            count_standard_b(inst, 1, zero_weight=True)
-        hits = [
-            r for r in caplog.records
-            if "downward chain reading only" in r.getMessage()
+        unequal = [
+            t for t in enumerate_standard_b(inst, 1, zero_weight=True)
+            if any(a != b for a, b in t.paired())
         ]
-        assert len(hits) == 2
+        assert len(unequal) == 2

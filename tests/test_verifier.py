@@ -13,7 +13,9 @@ import pytest
 import artifact
 import artifact.verifier as verifier
 from artifact.plucker import PluckerMonomial
+from artifact.tableau_b import enumerate_standard_b
 from artifact.verifier import (
+    _b_units,
     basis_monomials,
     check_duality,
     check_generation,
@@ -25,7 +27,7 @@ from artifact.verifier import (
     validate_certificate,
 )
 from artifact.weights import FAMILY_B, GroupInstance, instance_by_label
-from oracles import full_product_rank
+from oracles import full_product_rank, unit_split_count
 
 ORACLE_GRID = (
     [("g24", k, 1) for k in (2, 3, 4)]
@@ -35,6 +37,15 @@ ORACLE_GRID = (
     + [("fl311", k, 1) for k in (2, 3, 5)]
     + [("fl411", k, 1) for k in (2, 3)]
     + [("fl412", 2, 1), ("fl421", 2, 1), ("fl511", 2, 1), ("fl322", 3, 1)]
+)
+
+UNIT_SPLIT_GRID = (
+    [(label, k, 1) for label in ("spin5w1", "spin5w2") for k in (2, 3, 4, 5)]
+    + [("spin7w1", k, 1) for k in (2, 3, 4)]
+    + [("spin7w2", 2, 1), ("spin7w2", 3, 1), ("spin7w2", 3, 2)]
+    + [("spin7w3", 2, 1), ("spin7w3", 2, 2), ("spin7w3", 3, 1)]
+    + [("spin9w1", k, 1) for k in (2, 3)]
+    + [("spin9w2", 2, 1)]
 )
 
 
@@ -154,6 +165,34 @@ class TestTypeBFactorization:
             for part in witness["parts"]:
                 assert part in units
 
+    @pytest.mark.parametrize("label, k, d", UNIT_SPLIT_GRID)
+    def test_matches_the_subset_search_oracle(self, label, k, d):
+        inst = instance_by_label(label)
+        report = check_typeB_factorization(inst, k, d)
+        assert (report.dim, report.rank, report.verdict) == unit_split_count(inst, k, d)
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (4, 3)])
+    def test_witness_parts_are_lower_basis_elements(self, k, d):
+        inst = instance_by_label("spin7w2")
+        report = check_typeB_factorization(inst, k, d)
+        # each lower basis element's units, keyed by its flattened rows
+        lower = {
+            tuple(row for unit in units for row in unit): units
+            for j in range(1, d + 1)
+            for units in map(_b_units, enumerate_standard_b(inst, j, zero_weight=True))
+        }
+        element_units = {
+            tuple(t.rows): _b_units(t)
+            for t in enumerate_standard_b(inst, k, zero_weight=True)
+        }
+        split = [w for w in report.witnesses if w["parts"] is not None]
+        assert len(split) == report.rank
+        for witness in split:
+            parts = [tuple(map(tuple, part)) for part in witness["parts"]]
+            assert all(part in lower for part in parts)
+            joined = Counter(unit for part in parts for unit in lower[part])
+            assert joined == Counter(element_units[tuple(map(tuple, witness["element"]))])
+
     def test_type_a_instance_rejected(self):
         with pytest.raises(ValueError, match="type-B"):
             check_typeB_factorization(instance_by_label("g24"), 2, 1)
@@ -202,11 +241,6 @@ class TestPaperSuite:
         ]
         assert all(r.passed for r in reports)
         assert all(r.k == 2 for r in reports)
-
-    def test_thread_pool_matches_serial_order(self):
-        serial = [r.as_dict() for r in run_paper_suite()]
-        threaded = [r.as_dict() for r in run_paper_suite(jobs=2)]
-        assert serial == threaded
 
     def test_empty_manifest(self):
         assert run_paper_suite([]) == []
@@ -280,8 +314,11 @@ TRIPPED_CHECKS = textwrap.dedent(
         "2-regular factor": lambda: two_factorize(
             LoopedMultigraph(3, [(1, 2), (2, 3), (1, 3), (1, 2), (2, 3), (1, 3)])
         ),
+        "shuffle pool": lambda: plucker._shuffle_rewrite((2, 3), (2, 2)),
+        "shuffle identity": lambda: plucker._shuffle_rewrite((1, 3), (1, 2)),
     }
     plucker._pair_rewrite = lambda upper, lower: ((1, upper, lower),)
+    plucker._sort_sign = lambda seq: (0, ())
     graphs.one_factorize_bipartite = lambda *a: [m[:-1] for m in matchings(*a)]
     for name, check in checks.items():
         try:
@@ -301,5 +338,5 @@ def test_invariant_checks_survive_optimized_mode():
     )
     assert done.stdout.splitlines() == [
         "integral row", "in piece", "extraction identity",
-        "measure decrease", "2-regular factor",
+        "measure decrease", "2-regular factor", "shuffle pool", "shuffle identity",
     ]

@@ -207,7 +207,8 @@ class TestLabelResolution:
         assert (w4.weight, w4.multiple) == ((0, 0, 0, 1), 4)
 
     @pytest.mark.parametrize(
-        "label", ["g54", "g04", "spin4w1", "spin5w3", "fl211", "nonsense"]
+        "label",
+        ["g54", "g04", "g3_6", "g2_010", "g10_10", "spin4w1", "spin5w3", "fl211", "nonsense"],
     )
     def test_malformed_labels_rejected(self, label):
         with pytest.raises(ValueError):
