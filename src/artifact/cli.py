@@ -4,8 +4,9 @@ Six subcommands: enumerate the invariant basis, straighten a polynomial,
 factorize an invariant monomial into degree-one generators, verify one
 generation bound, compare dual Grassmannian dimensions, and run the full
 packaged suite.  Exit codes: 0 on success or an all-pass verdict, 1 when
-a verification fails, 2 on usage or configuration errors.  Output is
-deterministic byte for byte for a fixed command line.
+a verification fails, 2 on usage or configuration errors, 3 when an
+internal check fails.  Output is deterministic byte for byte for a fixed
+command line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .formats import (
 )
 from .graphs import graph_from_monomial, to_dot
 from .plucker import straighten
-from .tableau_a import enumerate_standard
+from .tableau_a import count_standard, enumerate_standard
 from .tableau_b import enumerate_standard_b
 from .verifier import (
     FactorCertificate,
@@ -132,6 +133,9 @@ def _cmd_enumerate(args) -> int:
     instance = instance_by_label(label)
     if instance.family == FAMILY_A:
         shape = shape_from_weight(instance, args.degree)
+        if args.count_only:
+            print(count_standard(shape, instance.n, "uniform"))
+            return 0
         tableaux = list(enumerate_standard(shape, instance.n, "uniform"))
     else:
         tableaux = list(enumerate_standard_b(instance, args.degree, zero_weight=True))
@@ -276,6 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # an explicit internal check failed: a bug, not a failed verification
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

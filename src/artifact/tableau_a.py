@@ -2,9 +2,17 @@
 
 Standardness is decided on a canonical arrangement (rows sorted by
 length descending, then lexicographically) so that "some arrangement is
-standard" becomes a single deterministic test.  Enumeration fills the
-diagram row by row and yields tableaux in lexicographic order of that
-filling.
+standard" becomes a single deterministic test.
+
+Read transposed, a standard tableau is a semistandard Young tableau
+(SSYT) whose rows are the columns here, so enumeration and counting work
+value by value: the entries <= v fill a partition, and value v adds a
+horizontal strip of content[v] boxes.  A memoized table records, for
+each (v, partition), the strips that still complete the shape and how
+many completions each has.  `count_standard` reads the Kostka number off
+that table without building a tableau; `enumerate_standard` walks only
+strips that complete and yields tableaux in lexicographic order of their
+rows.
 """
 
 from __future__ import annotations
@@ -104,65 +112,115 @@ def content_vector(
     return counts
 
 
+def _strips(
+    mu: tuple[int, ...], lam: tuple[int, ...], size: int
+) -> list[tuple[int, ...]]:
+    """Every nu inside lam with nu/mu a horizontal strip of `size` boxes.
+
+    A horizontal strip adds at most one box per column, which is exactly
+    mu_j <= nu_j <= min(mu_{j-1}, lam_j) for every part j.
+    """
+    caps = [
+        min(lam[j], mu[j - 1] if j else lam[0]) - mu[j] for j in range(len(lam))
+    ]
+    room = [0] * (len(lam) + 1)
+    for j in range(len(lam) - 1, -1, -1):
+        room[j] = room[j + 1] + caps[j]
+    out: list[tuple[int, ...]] = []
+    _add_strip(mu, caps, room, 0, size, [], out)
+    return out
+
+
+def _add_strip(mu, caps, room, j, left, added, out) -> None:
+    if j == len(mu):
+        out.append(tuple(m + a for m, a in zip(mu, added)))
+        return
+    # the parts after j must still be able to take what part j leaves
+    for a in range(max(0, left - room[j + 1]), min(caps[j], left) + 1):
+        added.append(a)
+        _add_strip(mu, caps, room, j + 1, left - a, added, out)
+        added.pop()
+
+
+def _completions(v: int, mu: tuple[int, ...], lam, counts, table: dict) -> int:
+    """How many ways values v+1..n complete mu to lam, one strip per value.
+
+    Records in `table[(v, mu)]` the total and the strips that complete.
+    """
+    hit = table.get((v, mu))
+    if hit is not None:
+        return hit[0]
+    if v == len(counts):
+        entry = (1, [])  # the box count forces mu == lam here
+    else:
+        live = []
+        total = 0
+        for nu in _strips(mu, lam, counts[v]):
+            ways = _completions(v + 1, nu, lam, counts, table)
+            if ways:
+                live.append(nu)
+                total += ways
+        entry = (total, live)
+    table[(v, mu)] = entry
+    return entry[0]
+
+
+def _walk(v: int, mu, table: dict, rows: list[list[int]], out: list) -> None:
+    """Fill the strips that complete, appending each finished filling to out.
+
+    Only completing states are visited, so an empty strip list means every
+    value is placed.
+    """
+    live = table[(v, mu)][1]
+    if not live:
+        out.append(tuple(map(tuple, rows)))
+        return
+    value = v + 1
+    for nu in live:
+        for lo, hi in zip(mu, nu):
+            for i in range(lo, hi):
+                rows[i].append(value)
+        _walk(v + 1, nu, table, rows, out)
+        for lo, hi in zip(mu, nu):
+            for i in range(lo, hi):
+                rows[i].pop()
+
+
+def _strip_table(shape, n: int, content) -> tuple[tuple[int, ...], int, dict]:
+    """Column lengths, the Kostka number K_{cols, content}, and its strip table."""
+    cols = shape.column_lengths if isinstance(shape, ShapeA) else tuple(shape)
+    counts = content_vector(cols, n, content)
+    table: dict = {}
+    return cols, _completions(0, (0,) * len(cols), cols, counts, table), table
+
+
 def enumerate_standard(
     shape: ShapeA | tuple[int, ...], n: int, content="uniform"
 ) -> Iterator[TableauA]:
     """Yield every standard tableau of the shape with the given content.
 
-    Rows are generated top to bottom in the canonical arrangement, each
-    entry smallest first, so the stream is deterministic.  Two supply
-    prunes keep deep shapes tractable: entries of every later row
-    dominate the current row columnwise, so leftover values below the
-    current row head are dead, and a value fits at most once per
-    remaining row.
+    Read transposed, a standard tableau of column lengths `cols` is a
+    semistandard tableau of row shape `cols`: the boxes holding entries
+    <= v form a partition, and each value adds a horizontal strip of as
+    many boxes as the content asks for.  The strip table counts, for
+    every partition reached, the ways the remaining values complete it,
+    so the walk follows only strips that complete and never dead-ends.
+    The fillings are then sorted, which yields the tableaux in
+    lexicographic order of their rows: the order of filling row by row,
+    top to bottom, smallest entry first.
     """
-    cols = shape.column_lengths if isinstance(shape, ShapeA) else tuple(shape)
-    if not cols:
-        if content == "uniform" or sum(content) == 0:
-            yield TableauA(n, ())
-        else:
-            raise ValueError("non-empty content for the empty shape")
-        return
-    counts = list(content_vector(cols, n, content))
-    lengths = [sum(1 for c in cols if c > i) for i in range(cols[0])]
-    total_rows = len(lengths)
-    out: list[tuple[int, ...]] = []
-
-    def fill_row(
-        length: int, pos: int, row: list[int], prev: tuple[int, ...] | None
-    ) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            yield tuple(row)
-            return
-        low = row[-1] + 1 if pos else 1
-        if prev is not None and pos < len(prev):
-            low = max(low, prev[pos])
-        # leave room for a strictly increasing suffix
-        for v in range(low, n - (length - pos - 1) + 1):
-            if counts[v - 1] == 0:
-                continue
-            counts[v - 1] -= 1
-            row.append(v)
-            yield from fill_row(length, pos + 1, row, prev)
-            row.pop()
-            counts[v - 1] += 1
-
-    def place(idx: int, prev: tuple[int, ...] | None) -> Iterator[TableauA]:
-        if idx == total_rows:
-            yield TableauA(n, tuple(out))
-            return
-        rows_left = total_rows - idx - 1
-        for row in fill_row(lengths[idx], 0, [], prev):
-            if any(counts[v] for v in range(row[0] - 1)):
-                continue
-            if max(counts) > rows_left:
-                continue
-            out.append(row)
-            yield from place(idx + 1, row)
-            out.pop()
-
-    yield from place(0, None)
+    cols, total, table = _strip_table(shape, n, content)
+    out: list[tuple[tuple[int, ...], ...]] = []
+    if total:
+        _walk(0, (0,) * len(cols), table, [[] for _ in range(cols[0] if cols else 0)], out)
+    out.sort()
+    for rows in out:
+        yield TableauA(n, rows)
 
 
-def count_standard(shape, n: int, content="uniform") -> int:
-    return sum(1 for _ in enumerate_standard(shape, n, content))
+def count_standard(shape: ShapeA | tuple[int, ...], n: int, content="uniform") -> int:
+    """The number of standard tableaux, read off the strip table.
+
+    This is the Kostka number K_{cols, content}; no tableau is built.
+    """
+    return _strip_table(shape, n, content)[1]

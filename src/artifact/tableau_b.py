@@ -176,6 +176,72 @@ def _row_candidates(n: int, length: int) -> list[tuple[int, ...]]:
     return out
 
 
+class _SearchB:
+    """State of one `enumerate_standard_b` call: the rows placed so far.
+
+    `above[(length, prev, paired)]` lists, in pool order, the candidate
+    rows of a length that dominate `prev` entrywise and, for the second
+    row of a pair, are admissible under `prev`; so each row is filtered
+    once per call, not once per search node.  `counts` tallies the
+    placed entries; the imbalance, the sum over opposite pairs of
+    |c_t - c_opp|, is carried along the search and updated from the
+    entries of each row placed.
+    """
+
+    __slots__ = ("n", "lengths", "paired", "spin", "zero_weight", "total",
+                 "pools", "above", "counts", "rows")
+
+    def __init__(self, n: int, shape: ShapeB, zero_weight: bool):
+        self.n = n
+        self.lengths = shape.row_lengths()
+        self.paired = shape.paired_rows
+        self.spin = shape.spin_part
+        self.zero_weight = zero_weight
+        self.total = sum(self.lengths)
+        self.pools = {ell: _row_candidates(n, ell) for ell in set(self.lengths)}
+        self.above: dict = {}
+        self.counts = [0] * (2 * n)
+        self.rows: list[tuple[int, ...]] = []
+
+    def candidates(self, idx: int) -> list[tuple[int, ...]]:
+        length = self.lengths[idx]
+        if not idx:
+            return self.pools[length]
+        prev = self.rows[idx - 1]
+        pair_row = idx % 2 == 1 and idx // 2 < self.paired
+        key = (length, prev, pair_row)
+        hit = self.above.get(key)
+        if hit is None:
+            if pair_row and len(prev) != length:
+                raise ValueError("paired rows of unequal length")
+            hit = self.above[key] = [
+                cand for cand in self.pools[length]
+                if all(c >= p for c, p in zip(cand, prev))
+                and (not pair_row or is_admissible(prev, cand, self.n))
+            ]
+        return hit
+
+    def place(self, idx: int, used: int, imbalance: int) -> Iterator[TableauB]:
+        if idx == len(self.lengths):
+            yield TableauB(self.n, tuple(self.rows), self.paired, self.spin)
+            return
+        length = self.lengths[idx]
+        counts, rows = self.counts, self.rows
+        top = 2 * self.n
+        remaining = self.total - used - length
+        for cand in self.candidates(idx):
+            after = imbalance
+            for e in cand:
+                after += 1 if counts[e - 1] >= counts[top - e] else -1
+                counts[e - 1] += 1
+            if not self.zero_weight or after <= remaining:
+                rows.append(cand)
+                yield from self.place(idx + 1, used + length, after)
+                rows.pop()
+            for e in cand:
+                counts[e - 1] -= 1
+
+
 def enumerate_standard_b(
     instance: GroupInstance, degree: int, *, zero_weight: bool = False
 ) -> Iterator[TableauB]:
@@ -183,60 +249,20 @@ def enumerate_standard_b(
 
     Rows are produced top to bottom, each ranging over the lexicographic
     candidates that dominate the previous row entrywise, with the
-    admissibility check applied as soon as a paired row completes.
+    admissibility check applied as soon as a paired row completes.  With
+    `zero_weight`, a row is kept only while the imbalance it leaves can
+    still be evened out by the boxes that remain, so the last row admits
+    exactly the torus-invariant tableaux.
     """
     if instance.family != FAMILY_B:
         raise ValueError("type-B enumeration needs a type-B instance")
     shape = shape_from_weight(instance, degree)
     if not isinstance(shape, ShapeB):
         raise AssertionError("a type-B instance has a spin shape")
-    lengths = shape.row_lengths()
-    if not lengths:
+    if not shape.row_lengths():
         yield TableauB(instance.n, (), 0, 0)
         return
-    n = instance.n
-    top = 2 * n
-    paired = shape.paired_rows
-    spin = shape.spin_part
-    pools = {length: _row_candidates(n, length) for length in set(lengths)}
-    total_boxes = sum(lengths)
-    counts = [0] * top
-    rows: list[tuple[int, ...]] = []
-
-    def imbalance() -> int:
-        return sum(abs(counts[j] - counts[top - 1 - j]) for j in range(n))
-
-    def place(idx: int, used: int) -> Iterator[TableauB]:
-        if idx == len(lengths):
-            yield TableauB(n, tuple(rows), paired, spin)
-            return
-        length = lengths[idx]
-        prev = rows[idx - 1] if idx else None
-        for cand in pools[length]:
-            if prev is not None and any(
-                cand[j] < prev[j] for j in range(min(length, len(prev)))
-            ):
-                continue
-            for e in cand:
-                counts[e - 1] += 1
-            rows.append(cand)
-            ok = True
-            if idx % 2 == 1 and idx // 2 < paired:
-                if len(rows[idx - 1]) != length:
-                    raise ValueError("paired rows of unequal length")
-                ok = is_admissible(rows[idx - 1], cand, n)
-            if ok and zero_weight:
-                remaining = total_boxes - used - length
-                ok = imbalance() <= remaining
-            if ok:
-                yield from place(idx + 1, used + length)
-            rows.pop()
-            for e in cand:
-                counts[e - 1] -= 1
-
-    for t in place(0, 0):
-        if not zero_weight or is_t_invariant_b(t):
-            yield t
+    yield from _SearchB(instance.n, shape, zero_weight).place(0, 0, 0)
 
 
 def count_standard_b(instance: GroupInstance, degree: int, *, zero_weight=False) -> int:

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written the slow, obvious way: enumerate a superset
-and filter, or classify by counting.  The tests compare these against
-the pruned production code paths.
+and filter, classify by counting, or search row by row as the package
+once did.  The tests compare these against the production code paths.
 """
 
 from __future__ import annotations
@@ -10,12 +10,20 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from typing import Iterator
 
 from artifact.linalg import exact_rank
 from artifact.plucker import PluckerMonomial, straighten
-from artifact.tableau_b import TableauB, enumerate_standard_b, is_t_invariant_b
+from artifact.tableau_a import TableauA, content_vector
+from artifact.tableau_b import (
+    TableauB,
+    _row_candidates,
+    enumerate_standard_b,
+    is_admissible,
+    is_t_invariant_b,
+)
 from artifact.verifier import _b_units, _partitions, basis_monomials
-from artifact.weights import GroupInstance, ShapeB, shape_from_weight
+from artifact.weights import FAMILY_B, GroupInstance, ShapeA, ShapeB, shape_from_weight
 
 
 def all_rows(n: int, length: int) -> list[tuple[int, ...]]:
@@ -65,6 +73,66 @@ def naive_standard_tableaux(
     return found
 
 
+def enumerate_standard_rowwise(
+    shape: ShapeA | tuple[int, ...], n: int, content="uniform"
+) -> Iterator[TableauA]:
+    """Row-by-row search for standard tableaux (reference for the strip walk).
+
+    Rows are generated top to bottom in the canonical arrangement, each
+    entry smallest first, so the stream is in lexicographic order of the
+    rows.  Two supply prunes keep deep shapes tractable: entries of every
+    later row dominate the current row columnwise, so leftover values
+    below the current row head are dead, and a value fits at most once
+    per remaining row.
+    """
+    cols = shape.column_lengths if isinstance(shape, ShapeA) else tuple(shape)
+    if not cols:
+        if content == "uniform" or sum(content) == 0:
+            yield TableauA(n, ())
+        else:
+            raise ValueError("non-empty content for the empty shape")
+        return
+    counts = list(content_vector(cols, n, content))
+    lengths = [sum(1 for c in cols if c > i) for i in range(cols[0])]
+    total_rows = len(lengths)
+    out: list[tuple[int, ...]] = []
+
+    def fill_row(
+        length: int, pos: int, row: list[int], prev: tuple[int, ...] | None
+    ) -> Iterator[tuple[int, ...]]:
+        if pos == length:
+            yield tuple(row)
+            return
+        low = row[-1] + 1 if pos else 1
+        if prev is not None and pos < len(prev):
+            low = max(low, prev[pos])
+        # leave room for a strictly increasing suffix
+        for v in range(low, n - (length - pos - 1) + 1):
+            if counts[v - 1] == 0:
+                continue
+            counts[v - 1] -= 1
+            row.append(v)
+            yield from fill_row(length, pos + 1, row, prev)
+            row.pop()
+            counts[v - 1] += 1
+
+    def place(idx: int, prev: tuple[int, ...] | None) -> Iterator[TableauA]:
+        if idx == total_rows:
+            yield TableauA(n, tuple(out))
+            return
+        rows_left = total_rows - idx - 1
+        for row in fill_row(lengths[idx], 0, [], prev):
+            if any(counts[v] for v in range(row[0] - 1)):
+                continue
+            if max(counts) > rows_left:
+                continue
+            out.append(row)
+            yield from place(idx + 1, row)
+            out.pop()
+
+    yield from place(0, None)
+
+
 def valid_b_rows(n: int, length: int) -> list[tuple[int, ...]]:
     """Strictly increasing rows in 1..2n avoiding complementary pairs."""
     out = []
@@ -104,6 +172,70 @@ def naive_standard_b(
             continue
         found.add(ordered)
     return found
+
+
+def enumerate_standard_b_pool(
+    instance: GroupInstance, degree: int, *, zero_weight: bool = False
+) -> Iterator[TableauB]:
+    """Type-B search filtering the whole candidate pool at every row (reference).
+
+    Rows are produced top to bottom, each ranging over the lexicographic
+    candidates that dominate the previous row entrywise, with the
+    admissibility check applied as soon as a paired row completes; the
+    imbalance is re-summed over all opposite pairs for every candidate.
+    """
+    if instance.family != FAMILY_B:
+        raise ValueError("type-B enumeration needs a type-B instance")
+    shape = shape_from_weight(instance, degree)
+    if not isinstance(shape, ShapeB):
+        raise AssertionError("a type-B instance has a spin shape")
+    lengths = shape.row_lengths()
+    if not lengths:
+        yield TableauB(instance.n, (), 0, 0)
+        return
+    n = instance.n
+    top = 2 * n
+    paired = shape.paired_rows
+    spin = shape.spin_part
+    pools = {length: _row_candidates(n, length) for length in set(lengths)}
+    total_boxes = sum(lengths)
+    counts = [0] * top
+    rows: list[tuple[int, ...]] = []
+
+    def imbalance() -> int:
+        return sum(abs(counts[j] - counts[top - 1 - j]) for j in range(n))
+
+    def place(idx: int, used: int) -> Iterator[TableauB]:
+        if idx == len(lengths):
+            yield TableauB(n, tuple(rows), paired, spin)
+            return
+        length = lengths[idx]
+        prev = rows[idx - 1] if idx else None
+        for cand in pools[length]:
+            if prev is not None and any(
+                cand[j] < prev[j] for j in range(min(length, len(prev)))
+            ):
+                continue
+            for e in cand:
+                counts[e - 1] += 1
+            rows.append(cand)
+            ok = True
+            if idx % 2 == 1 and idx // 2 < paired:
+                if len(rows[idx - 1]) != length:
+                    raise ValueError("paired rows of unequal length")
+                ok = is_admissible(rows[idx - 1], cand, n)
+            if ok and zero_weight:
+                remaining = total_boxes - used - length
+                ok = imbalance() <= remaining
+            if ok:
+                yield from place(idx + 1, used + length)
+            rows.pop()
+            for e in cand:
+                counts[e - 1] -= 1
+
+    for t in place(0, 0):
+        if not zero_weight or is_t_invariant_b(t):
+            yield t
 
 
 def two_regular_on(support: tuple[int, ...]):

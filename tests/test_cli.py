@@ -22,6 +22,16 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", label, "--count-only")
         assert (code, out, err) == (0, count + "\n", "")
 
+    def test_type_a_count_only_builds_no_tableau(self, capsys, monkeypatch):
+        import artifact.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("--count-only enumerated")
+
+        monkeypatch.setattr(cli, "enumerate_standard", refuse)
+        code, out, err = run(capsys, "enumerate", "g37", "-k", "3", "--count-only")
+        assert (code, out, err) == (0, "32425\n", "")
+
     def test_instance_flag_matches_positional(self, capsys):
         code_a, out_a, _ = run(capsys, "enumerate", "g24", "-k", "2")
         code_b, out_b, _ = run(capsys, "enumerate", "--instance", "g24", "-k", "2")
@@ -222,6 +232,19 @@ class TestDuality:
         assert payload["degrees"] == [{"k": 1, "left": 1, "right": 1}]
         assert payload["verdict"] == "pass"
 
+    def test_cubic_seven_passes(self, capsys):
+        code, out, _ = run(
+            capsys, "duality", "3", "7", "--k-max", "3", "--format", "json"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["degrees"] == [
+            {"k": 1, "left": 225, "right": 225},
+            {"k": 2, "left": 4411, "right": 4411},
+            {"k": 3, "left": 32425, "right": 32425},
+        ]
+        assert payload["verdict"] == "pass"
+
     def test_two_digit_labels_read_back(self, capsys):
         _, out, _ = run(capsys, "duality", "1", "10", "--k-max", "1", "--format", "json")
         payload = json.loads(out)
@@ -261,3 +284,15 @@ class TestSuite:
         first = run(capsys, "suite", "--format", "csv")
         second = run(capsys, "suite", "--format", "csv")
         assert first == second
+
+
+def test_internal_check_failure_exits_three(capsys, monkeypatch):
+    import artifact.verifier as verifier
+
+    def broken(*args, **kwargs):
+        raise AssertionError("tableau count out of range")
+
+    monkeypatch.setattr(verifier, "count_standard", broken)
+    code, out, err = run(capsys, "duality", "2", "5")
+    assert (code, out) == (3, "")
+    assert err == "internal error: tableau count out of range\n"

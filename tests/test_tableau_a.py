@@ -15,7 +15,7 @@ from artifact.tableau_a import (
 )
 from artifact.weights import ShapeA, instance_by_label, shape_from_weight
 
-from oracles import grid_standard, naive_standard_tableaux
+from oracles import enumerate_standard_rowwise, grid_standard, naive_standard_tableaux
 
 
 class TestTableauBasics:
@@ -170,3 +170,63 @@ class TestEnumeration:
             assert count_standard(left, n, "uniform") == count_standard(
                 right, n, "uniform"
             )
+
+
+# (label, k): Grassmannians g24-g28 to k=3, g36 to 4, g46 to 3, g37 to 2,
+# and the flag instances to 2.
+ROWWISE_GRID = (
+    [(f"g2{n}", k) for n in range(4, 9) for k in (1, 2, 3)]
+    + [("g36", k) for k in (1, 2, 3, 4)]
+    + [("g46", k) for k in (1, 2, 3)]
+    + [("g37", k) for k in (1, 2)]
+    + [
+        (label, k)
+        for label in ("fl311", "fl411", "fl412", "fl421", "fl322", "fl511", "fl611")
+        for k in (1, 2)
+    ]
+)
+
+
+class TestStripWalk:
+    @pytest.mark.parametrize("label, k", ROWWISE_GRID)
+    def test_same_stream_as_the_rowwise_search(self, label, k):
+        inst = instance_by_label(label)
+        shape = shape_from_weight(inst, k)
+        got = list(enumerate_standard(shape, inst.n, "uniform"))
+        assert got == list(enumerate_standard_rowwise(shape, inst.n, "uniform"))
+        assert count_standard(shape, inst.n, "uniform") == len(got)
+
+    def test_explicit_content_stream(self):
+        cols, n, content = (2, 2), 4, (2, 1, 1, 0)
+        got = list(enumerate_standard(ShapeA(cols), n, content))
+        assert got == list(enumerate_standard_rowwise(ShapeA(cols), n, content))
+        assert count_standard(ShapeA(cols), n, content) == len(got) == 1
+
+    @pytest.mark.parametrize(
+        "label, k, expected",
+        [("g27", 4, 2661), ("g37", 3, 32425), ("g38", 2, 77371), ("g37", 4, 145041)],
+    )
+    def test_frozen_kostka_counts(self, label, k, expected):
+        inst = instance_by_label(label)
+        assert count_standard(shape_from_weight(inst, k), inst.n, "uniform") == expected
+
+    def test_rowwise_search_agrees_on_g27_degree_four(self):
+        shape = shape_from_weight(instance_by_label("g27"), 4)
+        assert sum(1 for _ in enumerate_standard_rowwise(shape, 7, "uniform")) == 2661
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_strip_walk_matches_rowwise_on_random_content(data):
+    cols = tuple(sorted(
+        data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)), reverse=True
+    ))
+    n = data.draw(st.integers(1, 5))
+    boxes = sum(cols)
+    cuts = sorted(data.draw(
+        st.lists(st.integers(0, boxes), min_size=n - 1, max_size=n - 1)
+    ))
+    content = tuple(b - a for a, b in zip([0] + cuts, cuts + [boxes]))
+    expected = list(enumerate_standard_rowwise(cols, n, content))
+    assert list(enumerate_standard(cols, n, content)) == expected
+    assert count_standard(cols, n, content) == len(expected)

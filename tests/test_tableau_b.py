@@ -13,7 +13,7 @@ from artifact.tableau_b import (
 )
 from artifact.weights import instance_by_label
 
-from oracles import naive_standard_b
+from oracles import enumerate_standard_b_pool, naive_standard_b
 
 
 class TestRowOperations:
@@ -192,3 +192,15 @@ class TestEnumeration:
             if any(a != b for a, b in t.paired())
         ]
         assert len(unequal) == 2
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "label", ["spin5w1", "spin5w2", "spin7w1", "spin7w2", "spin7w3"]
+    )
+    def test_same_stream_as_the_whole_pool_filter(self, label, degree):
+        inst = instance_by_label(label)
+        for zero_weight in (True, False) if degree == 1 else (True,):
+            got = list(enumerate_standard_b(inst, degree, zero_weight=zero_weight))
+            assert got == list(
+                enumerate_standard_b_pool(inst, degree, zero_weight=zero_weight)
+            )
