@@ -2,7 +2,9 @@
 
 Given a torus-invariant standard monomial f of degree k >= 2, produce an
 exact decomposition f = sum c_t * g_t * h_t with every g_t a degree-one
-zero-weight standard monomial and every h_t a degree k-1 monomial.  The
+zero-weight standard monomial and every h_t a degree k-1 monomial.  Most
+f are divisible by such a unit, and the divisor is picked straight from
+f's own rows, without enumerating the degree-one basis.  Otherwise the
 route is combinatorial: translate f to a looped multigraph, split off a
 candidate subgraph of unit degree by two-factorization (helped by an
 Euler/bipartite double cover when the degrees are odd), repair odd
@@ -31,7 +33,7 @@ from .graphs import (
     two_factorize,
 )
 from .plucker import PluckerMonomial, PluckerPoly, straighten, monomial_from_tableau
-from .tableau_a import TableauA, enumerate_standard
+from .tableau_a import TableauA, content_vector, enumerate_standard
 from .weights import FAMILY_A, GroupInstance, shape_from_weight
 
 logger = logging.getLogger(__name__)
@@ -363,6 +365,65 @@ def degree_one_basis(instance: GroupInstance) -> list[PluckerMonomial]:
     ]
 
 
+def _take_rows(i, rows, mults, idx_left, need_len, need_idx, picked) -> bool:
+    """Depth-first choice of how many copies of rows[i:] to take.
+
+    Counts are tried largest first, so the first full pick is the
+    lexicographically smallest.  ``idx_left[i]`` counts the occurrences
+    of each index in rows[i:]; a branch ends once an index needs more.
+    Capping each length class at its need makes the index counts enough
+    at the end: the boxes then add up only if every class is full.
+    """
+    if i == len(rows):
+        return not any(need_idx)
+    if any(need > left for need, left in zip(need_idx, idx_left[i])):
+        return False
+    row = rows[i]
+    ell = len(row)
+    for take in range(min(mults[i], need_len[ell], *(need_idx[v] for v in row)), -1, -1):
+        need_len[ell] -= take
+        for v in row:
+            need_idx[v] -= take
+        picked.append((row, take))
+        if _take_rows(i + 1, rows, mults, idx_left, need_len, need_idx, picked):
+            return True
+        picked.pop()
+        need_len[ell] += take
+        for v in row:
+            need_idx[v] += take
+    return False
+
+
+def dividing_unit(instance: GroupInstance, f: PluckerMonomial) -> PluckerMonomial | None:
+    """The first degree-one basis element dividing the standard f, or None.
+
+    A sub-multiset of f's rows is a chain like f's own rows, so it is
+    standard; it is a degree-one basis element exactly when it has the
+    unit shape's row lengths and uses every index 1..n boxes/n times.
+    The search picks such a sub-multiset straight from f's rows, walking
+    the distinct rows in canonical order and taking the most copies
+    first, so its first hit is the lexicographically first dividing unit:
+    the one that comes first in ``degree_one_basis``.
+    """
+    unit_shape, _, _ = _unit_data(instance)
+    n = instance.n
+    per_index = content_vector(unit_shape, n, "uniform")[0]
+    counts = Counter(f.factors)  # f.factors is canonical, so is this order
+    rows, mults = list(counts), list(counts.values())
+    idx_left: list[tuple[int, ...]] = [()] * len(rows)
+    left = [0] * (n + 1)
+    for i in range(len(rows) - 1, -1, -1):
+        for v in rows[i]:
+            left[v] += mults[i]
+        idx_left[i] = tuple(left)
+    need_len = Counter(unit_shape.row_lengths())
+    need_idx = [0] + [per_index] * n
+    picked: list[tuple[tuple[int, ...], int]] = []
+    if not _take_rows(0, rows, mults, idx_left, need_len, need_idx, picked):
+        return None
+    return PluckerMonomial(n, tuple(row for row, take in picked for _ in range(take)))
+
+
 def _split_candidate(
     instance: GroupInstance, f: PluckerMonomial
 ) -> list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]]:
@@ -464,7 +525,11 @@ def _split_candidate(
 def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermList:
     """Decompose f into degree-one generators times degree k-1 cofactors.
 
-    Fast path is plain monomial division by a basis element.  Otherwise
+    Fast path is plain monomial division: ``dividing_unit`` searches f's
+    rows for a sub-multiset with the unit shape's row lengths and uniform
+    content.  Every sub-multiset of a standard monomial's rows is
+    standard, so the search misses no dividing basis element, and it
+    returns the same one a scan of ``degree_one_basis`` would.  Otherwise
     the graph pipeline runs and its candidates are rebalanced and
     straightened; if the combinatorics jam, an exact linear-algebra
     factorization takes over so the result is always a verified identity.
@@ -485,10 +550,9 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
         raise ValueError("monomial shape does not match the scaled weight")
     if not tab.is_t_invariant():
         raise ValueError("monomial is not torus-invariant")
-    units = degree_one_basis(instance)
-    for unit in units:
-        if unit.divides(f):
-            return [(Fraction(1), unit, f.quotient(unit))]
+    unit = dividing_unit(instance, f)
+    if unit is not None:
+        return [(Fraction(1), unit, f.quotient(unit))]
     lengths = {len(r) for r in f.factors}
     if lengths <= {1, 2}:
         try:

@@ -297,36 +297,46 @@ def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
     )
 
 
-def eval_on_matrix(p: PluckerPoly | PluckerMonomial, matrix) -> Fraction:
-    """Value of the polynomial at the point given by an integer matrix.
+class MinorTable:
+    """The minors of one integer matrix that Plücker coordinates read.
 
     A length-t tuple evaluates as the t x t minor on those rows and the
-    first t columns; singletons therefore read the first column.  All
-    arithmetic is exact.
+    first t columns; singletons therefore read the first column.  Each
+    minor is computed once per table, however many monomials share it,
+    and all arithmetic is exact.
     """
-    if isinstance(p, PluckerMonomial):
-        p = PluckerPoly.from_monomial(p)
-    rows = [list(map(int, row)) for row in matrix]
-    width = len(rows[0]) if rows else 0
-    total = Fraction(0)
-    minor_cache: dict[tuple[int, ...], int] = {}
-    for mono, coeff in p.items():
+
+    __slots__ = ("rows", "width", "_minors")
+
+    def __init__(self, matrix) -> None:
+        self.rows = [list(map(int, row)) for row in matrix]
+        self.width = len(self.rows[0]) if self.rows else 0
+        self._minors: dict[tuple[int, ...], int] = {}
+
+    def monomial(self, mono: PluckerMonomial) -> int:
+        """Product of the minors of the monomial's factors."""
         value = 1
         for tup in mono.factors:
-            if len(tup) > width:
-                raise ValueError(
-                    f"tuple {tup} needs {len(tup)} columns, matrix has {width}"
-                )
-            cached = minor_cache.get(tup)
-            if cached is None:
-                sub = [rows[i - 1][: len(tup)] for i in tup]
-                cached = int_det(sub)
-                minor_cache[tup] = cached
-            value *= cached
+            minor = self._minors.get(tup)
+            if minor is None:
+                if len(tup) > self.width:
+                    raise ValueError(
+                        f"tuple {tup} needs {len(tup)} columns, matrix has {self.width}"
+                    )
+                minor = int_det([self.rows[i - 1][: len(tup)] for i in tup])
+                self._minors[tup] = minor
+            value *= minor
             if value == 0:
                 break
-        total += coeff * value
-    return total
+        return value
+
+
+def eval_on_matrix(p: PluckerPoly | PluckerMonomial, matrix) -> Fraction:
+    """Value of the polynomial at the point given by an integer matrix."""
+    minors = MinorTable(matrix)
+    if isinstance(p, PluckerMonomial):
+        return Fraction(minors.monomial(p))
+    return sum((coeff * minors.monomial(mono) for mono, coeff in p.items()), Fraction(0))
 
 
 def seeded_matrices(n: int, width: int, count: int = 10, seed: int = 0) -> list[list[list[int]]]:

@@ -27,9 +27,9 @@ from .extract import degree_one_basis
 from .linalg import RankTracker, solve_rational
 from .plucker import (
     Factors,
+    MinorTable,
     PluckerMonomial,
     PluckerPoly,
-    eval_on_matrix,
     monomial_from_tableau,
     seeded_matrices,
     straighten,
@@ -490,7 +490,9 @@ def validate_certificate(
 
     Both routes are independent: the combination is straightened and
     compared against f in the standard basis, then both sides are
-    evaluated exactly on seeded integer matrices.
+    evaluated exactly on seeded integer matrices.  On each matrix f and
+    every g and h are evaluated apart, never their products, through one
+    table of minors, so a minor shared by several factors is computed once.
     """
     total = PluckerPoly(f.n)
     for coeff, g, h in terms:
@@ -498,10 +500,10 @@ def validate_certificate(
     if straighten(total) != straighten(PluckerPoly.from_monomial(f)):
         return False
     for matrix in seeded_matrices(f.n, f.n, count, seed):
-        lhs = eval_on_matrix(f, matrix)
+        minors = MinorTable(matrix)
+        lhs = minors.monomial(f)
         rhs = sum(
-            (coeff * eval_on_matrix(g, matrix) * eval_on_matrix(h, matrix)
-             for coeff, g, h in terms),
+            (coeff * minors.monomial(g) * minors.monomial(h) for coeff, g, h in terms),
             Fraction(0),
         )
         if lhs != rhs:

@@ -9,6 +9,7 @@ with all rational arithmetic exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -261,13 +262,14 @@ def instance_from_entry(entry: dict) -> GroupInstance:
     )
 
 
-def catalog_instances() -> list[GroupInstance]:
-    """The packaged nine-case manifest, in file order."""
-    return [instance_from_entry(e) for e in _load_catalog()]
+@functools.cache
+def catalog_instances() -> tuple[GroupInstance, ...]:
+    """The packaged nine-case manifest, in file order, read once per process."""
+    return tuple(instance_from_entry(e) for e in _load_catalog())
 
 
 _GRASSMANN = re.compile(r"^g(\d)(\d)$|^g(\d+)_(\d+)$")
-_FLAG = re.compile(r"^fl(\d)(\d)(\d)$")
+_FLAG = re.compile(r"^fl(\d)(\d)(\d)$|^fl(\d+)_(\d+)_(\d+)$")
 _SPIN = re.compile(r"^spin(\d+)w(\d)$")
 
 
@@ -284,6 +286,11 @@ def grassmannian_label(r: int, n: int) -> str:
     return f"g{r}{n}" if r < 10 and n < 10 else f"g{r}_{n}"
 
 
+def flag_label(n: int, r1: int, r2: int) -> str:
+    """fl<n><r1><r2>, or fl<n>_<r1>_<r2> once any part has two digits."""
+    return f"fl{n}{r1}{r2}" if max(n, r1, r2) < 10 else f"fl{n}_{r1}_{r2}"
+
+
 def grassmannian(r: int, n: int, label: str) -> GroupInstance:
     """G(r, n) with bundle multiple n, as built for labels outside the catalog."""
     if not 1 <= r < n:
@@ -293,7 +300,7 @@ def grassmannian(r: int, n: int, label: str) -> GroupInstance:
 
 
 def instance_by_label(label: str) -> GroupInstance:
-    """Resolve a label like g26, g2_10, fl411 or spin7w2 to an instance.
+    """Resolve a label like g26, g2_10, fl411, fl10_1_1 or spin7w2 to an instance.
 
     Catalog labels win; other well-formed labels are built on the fly so
     the CLI can address cases beyond the shipped manifest.
@@ -309,8 +316,8 @@ def instance_by_label(label: str) -> GroupInstance:
         return grassmannian(r, n, label)
     m = _FLAG.match(label)
     if m:
-        n, r1, r2 = (int(m.group(i)) for i in (1, 2, 3))
-        if n < 3 or r1 < 1 or r2 < 1:
+        n, r1, r2 = (int(g) for g in m.groups() if g is not None)
+        if n < 3 or r1 < 1 or r2 < 1 or flag_label(n, r1, r2) != label:
             raise ValueError(f"bad flag label {label!r}")
         weight = tuple([r1, r2] + [0] * (n - 3))
         return GroupInstance(FAMILY_A, n, (1, 2), weight, n, label)

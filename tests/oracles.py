@@ -7,11 +7,13 @@ once did.  The tests compare these against the production code paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 from typing import Iterator
 
+from artifact.extract import degree_one_basis
 from artifact.linalg import exact_rank
 from artifact.plucker import PluckerMonomial, straighten
 from artifact.tableau_a import TableauA, content_vector
@@ -401,6 +403,20 @@ def full_product_rank(instance: GroupInstance, k: int, d: int) -> tuple[int, int
             rows.append(row)
     rank = exact_rank(rows) if rows and dim else 0
     return dim, rank, "pass" if rank == dim else "fail"
+
+
+def first_dividing_unit(instance: GroupInstance, f: PluckerMonomial) -> PluckerMonomial | None:
+    """The first degree-one basis element that divides f, by scanning them all.
+
+    This is the divisor test extraction once ran: enumerate the whole
+    degree-one basis, then keep the first unit whose factors f contains.
+    """
+    return next((unit for unit in _units(instance) if unit.divides(f)), None)
+
+
+@functools.cache
+def _units(instance: GroupInstance) -> tuple[PluckerMonomial, ...]:
+    return tuple(degree_one_basis(instance))
 
 
 def _b_piece_degree(instance: GroupInstance, rows) -> int | None:

@@ -7,6 +7,7 @@ import pytest
 from artifact.extract import (
     ExtractionStuck,
     degree_one_basis,
+    dividing_unit,
     extract_degree_one,
     find_interchange,
     graph_difference,
@@ -27,6 +28,7 @@ from artifact.verifier import (
     validate_certificate,
 )
 from artifact.weights import instance_by_label
+from oracles import first_dividing_unit
 
 
 def graph(n, *edges):
@@ -224,6 +226,51 @@ class TestDegreeOneBasis:
             ((1, 3), (1, 3), (1, 3), (2,), (2,), (2,)),
         ]
         assert all(m.is_standard for m in units)
+
+
+DIVISOR_GRID = (
+    [("fl611", 2, 9), ("fl511", 3, 0)]
+    + [("g26", k, 0) for k in (2, 3, 4)]
+    + [("g27", 3, 0)]
+    + [("g36", 2, 2), ("g36", 3, 0), ("g36", 4, 2)]
+    + [("fl311", k, 0) for k in (2, 3, 4)]
+    + [("fl411", 3, 0), ("fl412", 2, 0), ("fl421", 2, 0), ("fl322", 3, 0)]
+)
+
+
+class TestDividingUnit:
+    @pytest.mark.parametrize("label, k, undivided", DIVISOR_GRID)
+    def test_matches_the_basis_scan(self, label, k, undivided):
+        inst = instance_by_label(label)
+        found = [
+            (dividing_unit(inst, f), first_dividing_unit(inst, f))
+            for f in basis_monomials(inst, k)
+        ]
+        assert all(new == old for new, old in found)
+        assert sum(new is None for new, _ in found) == undivided
+
+    def test_first_unit_in_basis_order(self):
+        # each product is divisible by both its factors (and u1 also divides
+        # u2 * u2); the search returns the divisor listed first
+        inst = instance_by_label("g24")
+        u1, u2, u3 = degree_one_basis(inst)
+        assert dividing_unit(inst, u2 * u1) == u1
+        assert dividing_unit(inst, u3 * u2) == u2
+        assert dividing_unit(inst, u2 * u2) == u1
+        assert dividing_unit(inst, u3 * u3) == u3
+
+    def test_no_basis_enumeration_on_the_divide_path(self, monkeypatch):
+        import artifact.extract as extract
+
+        def refuse(*args):
+            raise AssertionError("the divide path enumerated the basis")
+
+        inst = instance_by_label("fl511")
+        f = basis_monomials(inst, 3)[0]
+        monkeypatch.setattr(extract, "enumerate_standard", refuse)
+        monkeypatch.setattr(extract, "degree_one_basis", refuse)
+        [(coeff, g, h)] = extract_degree_one(inst, f)
+        assert coeff == 1 and g * h == f
 
 
 class TestExtractDegreeOne:

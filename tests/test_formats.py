@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.formats import (
     certificate_json,
@@ -67,6 +69,23 @@ class TestParsePoly:
     def test_round_trip_through_format(self):
         p = straighten(PluckerMonomial(5, ((1, 4), (2, 3), (5,))))
         assert parse_poly(format_poly(p), 5) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # nonzero polynomials only: the zero polynomial prints as "0", which
+        # parse_poly does not read back
+        n = data.draw(st.integers(2, 6), label="n")
+        row = st.lists(
+            st.integers(1, n), min_size=1, max_size=min(n, 3), unique=True
+        ).map(lambda r: tuple(sorted(r)))
+        mono = st.lists(row, min_size=1, max_size=4).map(
+            lambda rows: PluckerMonomial(n, tuple(rows))
+        )
+        coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+        terms = data.draw(st.dictionaries(mono, coeff, min_size=1, max_size=5), label="terms")
+        p = PluckerPoly(n, terms)
+        assert parse_poly(format_poly(p), n) == p
 
     def test_powers_expand(self):
         assert parse_poly("p[1,2]^3", 4) == PluckerPoly(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.plucker import (
+    MinorTable,
     PluckerMonomial,
     PluckerPoly,
     eval_on_matrix,
@@ -172,8 +173,29 @@ class TestEvaluation:
             assert eval_on_matrix(rel, matrix) == 0
 
     def test_tuple_wider_than_matrix_rejected(self):
+        matrix = [[1, 0], [0, 1], [1, 1], [2, 1]]
         with pytest.raises(ValueError, match="columns"):
-            eval_on_matrix(mono(4, (1, 2, 3)), [[1, 0], [0, 1], [1, 1], [2, 1]])
+            eval_on_matrix(mono(4, (1, 2, 3)), matrix)
+        table = MinorTable(matrix)
+        assert table.monomial(mono(4, (1, 2), (3,))) == 1
+        with pytest.raises(ValueError, match="columns"):
+            table.monomial(mono(4, (1, 2), (1, 2, 3)))
+
+    def test_table_reads_each_minor_once(self, monkeypatch):
+        import artifact.plucker as plucker
+
+        computed = []
+        det = plucker.int_det
+
+        def counted_det(rows):
+            computed.append(len(rows))
+            return det(rows)
+
+        monkeypatch.setattr(plucker, "int_det", counted_det)
+        table = MinorTable(seeded_matrices(5, 5, count=1, seed=2)[0])
+        a, b = mono(5, (1, 2), (3, 4, 5), (2,)), mono(5, (1, 2), (1, 2), (2,))
+        assert table.monomial(a) * table.monomial(b) == table.monomial(a * b)
+        assert sorted(computed) == [1, 2, 3]
 
     def test_seeded_matrices_are_reproducible_and_bounded(self):
         a = seeded_matrices(5, 2, count=3, seed=11)

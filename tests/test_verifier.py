@@ -12,7 +12,7 @@ import pytest
 
 import artifact
 import artifact.verifier as verifier
-from artifact.plucker import PluckerMonomial
+from artifact.plucker import MinorTable, PluckerMonomial, eval_on_matrix, seeded_matrices
 from artifact.tableau_b import enumerate_standard_b
 from artifact.verifier import (
     _b_units,
@@ -265,11 +265,33 @@ class TestValidateCertificate:
         inst, f, cert = self._certificate()
         assert validate_certificate(inst, f, cert)
 
+    def test_shared_minor_table_matches_fresh_evaluation(self):
+        inst, f, cert = self._certificate()
+        monos = [f] + [m for _, g, h in cert for m in (g, h)]
+        for matrix in seeded_matrices(f.n, f.n, 10, 0):
+            table = MinorTable(matrix)
+            assert [table.monomial(m) for m in monos] == [
+                eval_on_matrix(m, matrix) for m in monos
+            ]
+
     def test_corrupted_coefficient_is_caught(self):
         inst, f, cert = self._certificate()
         coeff, g, h = cert[0]
-        bad = [(coeff * 2, g, h)] + cert[1:]
-        assert not validate_certificate(inst, f, bad)
+        for scale in (2, -1):
+            bad = [(coeff * scale, g, h)] + cert[1:]
+            assert not validate_certificate(inst, f, bad)
+
+    def test_swapped_cofactor_is_caught(self):
+        inst, f, cert = self._certificate()
+        coeff, g, h = cert[0]
+        other = next(m for m in basis_monomials(inst, 1) if m != h)
+        assert not validate_certificate(inst, f, [(coeff, g, other)] + cert[1:])
+        # a one-term certificate f = u * q, as the divide path writes them
+        flag = instance_by_label("fl511")
+        unit = basis_monomials(flag, 1)[3]
+        q, q_other = basis_monomials(flag, 2)[5:7]
+        assert validate_certificate(flag, unit * q, [(Fraction(1), unit, q)])
+        assert not validate_certificate(flag, unit * q, [(Fraction(1), unit, q_other)])
 
     def test_dropped_term_is_caught(self):
         inst = instance_by_label("g25")
@@ -278,6 +300,19 @@ class TestValidateCertificate:
         assert len(cert) >= 2
         assert validate_certificate(inst, f, cert)
         assert not validate_certificate(inst, f, cert[1:])
+
+    def test_evaluation_alone_rejects_tampering(self, monkeypatch):
+        # with the straightening half blinded, the minor table must still
+        # reject a dropped term, a flipped sign, a swapped cofactor, no terms
+        inst = instance_by_label("g25")
+        f = basis_monomials(inst, 2)[6]
+        cert = factor_by_linear_algebra(inst, f)
+        coeff, g, h = cert[0]
+        other = next(m for m in basis_monomials(inst, 1) if m != h)
+        monkeypatch.setattr(verifier, "straighten", lambda p: 0)
+        assert validate_certificate(inst, f, cert)
+        for bad in (cert[1:], [(-coeff, g, h)] + cert[1:], [(coeff, g, other)] + cert[1:], []):
+            assert not validate_certificate(inst, f, bad)
 
     def test_wrong_target_is_caught(self):
         inst, f, cert = self._certificate()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import artifact.weights as weights
 from artifact.weights import (
     FAMILY_A,
     FAMILY_B,
@@ -14,6 +15,7 @@ from artifact.weights import (
     catalog_instances,
     default_generation_degree,
     descent_ok,
+    flag_label,
     instance_by_label,
     instance_from_entry,
     root_coordinates,
@@ -172,6 +174,30 @@ class TestCatalog:
             "spin7w3": 1,
         }
 
+    def test_catalog_is_read_once(self, monkeypatch):
+        reads = []
+        load = weights._load_catalog
+
+        def counted_load():
+            reads.append(1)
+            return load()
+
+        monkeypatch.setattr(weights, "_load_catalog", counted_load)
+        weights.catalog_instances.cache_clear()
+        try:
+            assert instance_by_label("g24") == instance_by_label("g24")
+            assert instance_by_label("g36").multiple == 2
+            assert len(reads) == 1
+        finally:
+            weights.catalog_instances.cache_clear()
+
+    def test_cached_catalog_is_immutable(self):
+        instances = catalog_instances()
+        assert isinstance(instances, tuple)
+        assert catalog_instances() is instances
+        with pytest.raises(AttributeError):
+            instances[0].multiple = 1
+
     def test_instance_from_entry_round_trip(self):
         inst = instance_from_entry(
             {"family": "A", "n": 4, "parabolic": [2], "weight": [0, 1, 0],
@@ -200,6 +226,14 @@ class TestLabelResolution:
         assert inst.multiple == 6
         assert inst.parabolic == (1, 2)
 
+    def test_two_digit_flag_labels(self):
+        inst = instance_by_label("fl10_1_2")
+        assert (inst.n, inst.weight[:3], inst.multiple) == (10, (1, 2, 0), 10)
+        assert inst.parabolic == (1, 2)
+        assert instance_by_label("fl3_10_1").weight == (10, 1)
+        assert flag_label(10, 1, 2) == "fl10_1_2"
+        assert flag_label(6, 1, 2) == "fl612"
+
     def test_dynamic_spin_labels(self):
         w1 = instance_by_label("spin9w1")
         assert (w1.family, w1.n, w1.multiple) == (FAMILY_B, 4, 2)
@@ -208,7 +242,10 @@ class TestLabelResolution:
 
     @pytest.mark.parametrize(
         "label",
-        ["g54", "g04", "g3_6", "g2_010", "g10_10", "spin4w1", "spin5w3", "fl211", "nonsense"],
+        [
+            "g54", "g04", "g3_6", "g2_010", "g10_10", "spin4w1", "spin5w3", "fl211",
+            "fl5_1_1", "fl10_01_1", "fl10_0_1", "fl2_1_10", "fl10_1", "nonsense",
+        ],
     )
     def test_malformed_labels_rejected(self, label):
         with pytest.raises(ValueError):
