@@ -6,12 +6,16 @@ generation bound, compare dual Grassmannian dimensions, and run the full
 packaged suite.  Exit codes: 0 on success or an all-pass verdict, 1 when
 a verification fails, 2 on usage or configuration errors, 3 when an
 internal check fails.  Output is deterministic byte for byte for a fixed
-command line.
+command line.  The parser is built once per process, on the first call,
+and shared by every later ``main`` call: parsing keeps no state between
+calls, so ``main`` can be called repeatedly in one process with the same
+bytes and exit codes as separate runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,6 +53,7 @@ from .weights import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -52,8 +52,12 @@ def parse_poly(text: str, n: int) -> PluckerPoly:
 
     Coefficients are optional integers or fractions followed by ``*``;
     factors juxtapose and accept ``^`` powers; ``#`` starts a comment.
+    A bare ``0`` is the zero polynomial, as ``format_poly`` prints it.
     """
-    src = _strip_comments(text).replace("-", "+-")
+    src = _strip_comments(text)
+    if src.strip() == "0":
+        return PluckerPoly(n)
+    src = src.replace("-", "+-")
     total: dict[PluckerMonomial, Fraction] = {}
     for chunk in src.split("+"):
         if not chunk.strip():

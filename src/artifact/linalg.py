@@ -16,13 +16,22 @@ MOD_PRIME = (1 << 31) - 1
 
 
 def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
+    """Determinant of a square integer matrix.
+
+    Sizes 1 and 2 (nearly every Plücker minor) are read off in closed
+    form; larger matrices go through fraction-free elimination.
+    """
     size = len(rows)
     if size == 0:
         return 1
-    m = [list(map(int, r)) for r in rows]
-    if any(len(r) != size for r in m):
+    if any(len(r) != size for r in rows):
         raise ValueError("matrix is not square")
+    if size == 1:
+        return int(rows[0][0])
+    if size == 2:
+        (a, b), (c, d) = rows
+        return int(a) * int(d) - int(b) * int(c)
+    m = [list(map(int, r)) for r in rows]
     sign = 1
     prev = 1
     for col in range(size):

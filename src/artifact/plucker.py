@@ -340,12 +340,22 @@ def eval_on_matrix(p: PluckerPoly | PluckerMonomial, matrix) -> Fraction:
 
 
 def seeded_matrices(n: int, width: int, count: int = 10, seed: int = 0) -> list[list[list[int]]]:
-    """Deterministic random integer matrices with entries in [-9, 9]."""
-    rng = random.Random(seed)
-    return [
-        [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n)]
-        for _ in range(count)
-    ]
+    """Deterministic random integer matrices with entries in [-9, 9].
+
+    Each entry is drawn the way ``random.Random(seed).randint(-9, 9)``
+    draws it, without its per-call overhead: five random bits, redrawn
+    while they are 19 or more, minus 9.  The matrices for every seed are
+    therefore exactly those of the ``randint`` comprehension.
+    """
+    bits = random.Random(seed).getrandbits
+    need = count * n * width
+    entries: list[int] = []
+    while len(entries) < need:
+        r = bits(5)
+        if r < 19:
+            entries.append(r - 9)
+    rows = [entries[i * width : (i + 1) * width] for i in range(count * n)]
+    return [rows[i * n : (i + 1) * n] for i in range(count)]
 
 
 def monomial_from_tableau(t: TableauA) -> PluckerMonomial:

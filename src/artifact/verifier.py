@@ -140,6 +140,12 @@ def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomia
     ]
 
 
+def basis_size(instance: GroupInstance, degree: int) -> int:
+    """Size of ``basis_monomials(instance, degree)``, counted, not enumerated."""
+    shape = shape_from_weight(instance, degree)
+    return count_standard(shape, instance.n, "uniform")
+
+
 def _divide(units: tuple, divisor: tuple) -> tuple | None:
     """Quotient of two unit multisets sorted the same way, or None."""
     rest = []
@@ -241,8 +247,7 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
         raise ValueError("use check_typeB_factorization for type B")
     start = time.perf_counter()
     label = _label(instance)
-    basis_k = basis_monomials(instance, k)
-    dim = len(basis_k)
+    dim = basis_size(instance, k)
     if k <= d:
         return GenerationReport(
             label, k, d, dim, dim, "pass",
@@ -257,20 +262,26 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
             generators_used=[],
             elapsed=time.perf_counter() - start,
         )
-    lower = {j: basis_monomials(instance, j) for j in range(1, min(d, k - 1) + 1)}
-    used = [(j, len(lower[j])) for j in sorted(lower)]
+    # the guard reads only counts, so an oversized problem is refused
+    # before any basis is enumerated
+    sizes = {j: basis_size(instance, j) for j in range(1, min(d, k - 1) + 1)}
+    used = sorted(sizes.items())
     schedule = _partitions(k, min(d, k - 1))
     est = 0
     for parts in schedule:
         rows = 1
         for j, c in Counter(parts).items():
-            rows *= math.comb(len(lower[j]) + c - 1, c)
+            rows *= math.comb(sizes[j] + c - 1, c)
         est += rows
     if est * dim > BUDGET_ENTRIES:
         raise ValueError(
             f"{label} k={k} d={d}: about {est} products x {dim} basis elements "
             f"exceeds the budget of {BUDGET_ENTRIES} matrix entries"
         )
+    basis_k = basis_monomials(instance, k)
+    lower = {j: basis_monomials(instance, j) for j in sizes}
+    if len(basis_k) != dim or any(len(lower[j]) != c for j, c in used):
+        raise AssertionError("a basis enumeration disagrees with its count")
     residue = [m.factors for m in split_residue(basis_k, k, lower)]
     if residue:
         rank = dim - len(residue) + _residue_rank(instance.n, basis_k, residue, lower, schedule)
@@ -389,8 +400,7 @@ def check_duality(r: int, n: int, k_max: int) -> dict:
     rows = []
     all_equal = True
     for k in range(1, k_max + 1):
-        cl = count_standard(shape_from_weight(left, k), left.n, "uniform")
-        cr = count_standard(shape_from_weight(right, k), right.n, "uniform")
+        cl, cr = basis_size(left, k), basis_size(right, k)
         rows.append({"k": k, "left": cl, "right": cr})
         all_equal = all_equal and cl == cr
     return {

@@ -474,3 +474,33 @@ def unit_split_count(instance: GroupInstance, k: int, d: int) -> tuple[int, int,
         _split_units(instance, _b_units(t), k, d, memo) is not None for t in basis
     )
     return len(basis), rank, "pass" if rank == len(basis) else "fail"
+
+
+def seeded_matrices_randint(n: int, width: int, count: int = 10, seed: int = 0):
+    """The check matrices as first written: one ``randint`` call per entry."""
+    rng = random.Random(seed)
+    return [
+        [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n)]
+        for _ in range(count)
+    ]
+
+
+def int_det_bareiss(rows: list[list[int]]) -> int:
+    """Determinant by fraction-free elimination at every size."""
+    size = len(rows)
+    m = [list(map(int, r)) for r in rows]
+    sign, prev = 1, 1
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        for r in range(col + 1, size):
+            for c in range(col + 1, size):
+                m[r][c] = (m[r][c] * pivot - m[r][col] * m[col][c]) // prev
+            m[r][col] = 0
+        prev = pivot
+    return sign * m[size - 1][size - 1] if size else 1

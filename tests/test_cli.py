@@ -1,10 +1,15 @@
 """End-to-end command-line behavior through main(argv)."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import artifact.cli as cli
 from artifact.cli import main
 
 
@@ -296,3 +301,77 @@ def test_internal_check_failure_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "duality", "2", "5")
     assert (code, out) == (3, "")
     assert err == "internal error: tableau count out of range\n"
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of one main call; argparse exits count too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    CALLS = [
+        ("verify", "g24", "-k", "2", "-d", "1", "--format", "csv"),
+        ("verify", "g24", "-k", "2", "-d", "1"),
+        ("verify", "g24", "--format", "xml"),
+        ("enumerate", "g99"),
+        ("verify", "g36", "-k", "2", "-d", "1", "--format", "csv"),
+    ]
+
+    def test_parser_is_built_once(self):
+        outcome(["enumerate", "g24", "--count-only"])
+        built = cli._build_parser.cache_info().misses
+        for argv in self.CALLS:
+            outcome(argv)
+        assert cli._build_parser.cache_info().misses == built
+
+    def test_repeated_calls_match_fresh_parsers(self):
+        shared = [outcome(argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, ("SystemExit", 2), 2, 1]
+        assert shared[2][2].endswith("invalid choice: 'xml' (choose from 'json', 'table', 'csv')\n")
+        assert shared[3][2] == "error: bad Grassmannian label 'g99'\n"
+
+
+_LABELS = ["g24", "g26", "g36", "fl311", "spin5w1", "spin7w2", "g99", "g3_6", "fl5_1_1", "x", ""]
+_MONOMIALS = [
+    "p[1,2]^2 p[3,4]^2", "p[1,2] p[3,4]", "p[1,2", "p[0,9]", "p[1,2]^",
+    "2 * p[1,2]", "p[1,2] - p[1,2]", "0", "1/0 * p[1,2]",
+]
+_STRAY = ["--bogus", "-k", "-d", "--count-only", "--format", "xml", "--seed", "--k-max", "2", "5"]
+_OPTION = st.one_of(
+    st.integers(1, 3).map(lambda k: ["-k", str(k)]),
+    st.integers(1, 2).map(lambda d: ["-d", str(d)]),
+    st.sampled_from(["csv", "json", "table"]).map(lambda f: ["--format", f]),
+    st.sampled_from(_MONOMIALS).map(lambda m: [m]),
+    st.sampled_from(_STRAY).map(lambda x: [x]),
+)
+_ARGV = st.one_of(
+    st.tuples(
+        st.sampled_from(["enumerate", "factorize", "verify", "bogus"]),
+        st.sampled_from(_LABELS),
+        st.lists(_OPTION, max_size=3),
+    ).map(lambda t: [t[0], t[1], *(x for piece in t[2] for x in piece)]),
+    st.tuples(
+        st.sampled_from(_MONOMIALS + _LABELS), st.lists(_OPTION, max_size=2)
+    ).map(lambda t: ["straighten", "-n", "4", t[0], *(x for piece in t[1] for x in piece)]),
+    st.lists(st.sampled_from(["0", "1", "2", "3", "5", "-1", "x"]), min_size=2, max_size=3).map(
+        lambda t: ["duality", *t]
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ARGV)
+def test_exit_code_contract_on_random_argv(argv):
+    code, _, _ = outcome(argv)
+    assert code in (0, 1, 2, ("SystemExit", 2)), argv

@@ -73,8 +73,6 @@ class TestParsePoly:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_round_trip_property(self, data):
-        # nonzero polynomials only: the zero polynomial prints as "0", which
-        # parse_poly does not read back
         n = data.draw(st.integers(2, 6), label="n")
         row = st.lists(
             st.integers(1, n), min_size=1, max_size=min(n, 3), unique=True
@@ -82,8 +80,8 @@ class TestParsePoly:
         mono = st.lists(row, min_size=1, max_size=4).map(
             lambda rows: PluckerMonomial(n, tuple(rows))
         )
-        coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
-        terms = data.draw(st.dictionaries(mono, coeff, min_size=1, max_size=5), label="terms")
+        coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+        terms = data.draw(st.dictionaries(mono, coeff, max_size=5), label="terms")
         p = PluckerPoly(n, terms)
         assert parse_poly(format_poly(p), n) == p
 
@@ -106,6 +104,10 @@ class TestParsePoly:
 
     def test_like_terms_cancel(self):
         assert parse_poly("p[1,2] - p[1,2]", 4).is_zero()
+
+    def test_zero_reads_back(self):
+        assert parse_poly(format_poly(PluckerPoly(4)), 4) == PluckerPoly(4)
+        assert parse_poly(" 0  # the zero polynomial\n", 4).is_zero()
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):
@@ -132,6 +134,10 @@ class TestParseMonomial:
     def test_sum_rejected(self):
         with pytest.raises(ValueError, match="single monomial"):
             parse_monomial("p[1,2] + p[3,4]", 4)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="single monomial"):
+            parse_monomial("0", 4)
 
 
 class TestTableauText:

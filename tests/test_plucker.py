@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact.linalg import int_det
 from artifact.plucker import (
     MinorTable,
     PluckerMonomial,
@@ -19,6 +20,7 @@ from artifact.plucker import (
     tableau_from_monomial,
 )
 from artifact.tableau_a import TableauA
+from oracles import int_det_bareiss, seeded_matrices_randint
 
 
 def mono(n, *factors):
@@ -205,6 +207,41 @@ class TestEvaluation:
         assert a != c
         assert len(a) == 3 and len(a[0]) == 5 and len(a[0][0]) == 2
         assert all(-9 <= x <= 9 for mat in a for row in mat for x in row)
+
+    @pytest.mark.parametrize("n, width", [(5, 2), (6, 6), (7, 7)])
+    def test_seeded_matrices_equal_the_randint_draw(self, n, width):
+        for seed in [*range(300), 10**6 - 1, 2**31]:
+            assert seeded_matrices(n, width, 10, seed) == seeded_matrices_randint(
+                n, width, 10, seed
+            ), seed
+
+    def test_seeded_matrices_degenerate_sizes(self):
+        for n, width, count in [(0, 3, 2), (3, 0, 2), (2, 2, 0)]:
+            assert seeded_matrices(n, width, count, 5) == seeded_matrices_randint(
+                n, width, count, 5
+            )
+
+
+class TestIntDet:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_matches_elimination(self, size):
+        rng = random.Random(size)
+        for _ in range(300):
+            rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            assert int_det(rows) == int_det_bareiss(rows), rows
+
+    def test_singular_and_empty(self):
+        assert int_det([]) == 1
+        assert int_det([[0]]) == 0
+        assert int_det([[2, 4], [1, 2]]) == 0
+        assert int_det([[0, 1], [1, 0]]) == -1
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2]], [[1], [2]], [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]]
+    )
+    def test_non_square_rejected(self, rows):
+        with pytest.raises(ValueError, match="not square"):
+            int_det(rows)
 
 
 @settings(max_examples=120, deadline=None)

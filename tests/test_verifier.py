@@ -91,6 +91,20 @@ class TestCheckGeneration:
         with pytest.raises(ValueError, match="budget"):
             check_generation(instance_by_label("g24"), 2, 1)
 
+    def test_budget_guard_refuses_before_enumerating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a basis was enumerated before the budget guard")
+
+        monkeypatch.setattr(verifier, "enumerate_standard", refuse)
+        with pytest.raises(ValueError, match="1030330 products x 77371 basis elements"):
+            check_generation(instance_by_label("g38"), 2, 1)
+
+    def test_count_and_enumeration_must_agree(self, monkeypatch):
+        count = verifier.count_standard
+        monkeypatch.setattr(verifier, "count_standard", lambda *a: count(*a) + 1)
+        with pytest.raises(AssertionError, match="disagrees with its count"):
+            check_generation(instance_by_label("g24"), 2, 1)
+
     @pytest.mark.parametrize("label, k, d", ORACLE_GRID)
     def test_matches_the_full_product_oracle(self, label, k, d):
         inst = instance_by_label(label)
