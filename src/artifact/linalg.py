@@ -1,9 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
-Ranks are certified, never estimated: a dense elimination modulo a large
-prime can only under-count, so full column rank mod p proves full rank
-over Q, and any deficit is re-checked by fraction-free elimination on
-the original integer entries.
+Two eliminations do all of it.  One fraction-free (Bareiss) echelon on
+the integer entries serves the determinant, the exact rank recount and
+the exact solve.  One echelon modulo a large prime, kept incrementally
+by :class:`RankTracker`, is the fast path: it can only under-count, so
+full rank mod p proves full rank over Q, and any deficit is recounted
+by the fraction-free echelon.
 """
 
 from __future__ import annotations
@@ -15,11 +17,43 @@ import numpy as np
 MOD_PRIME = (1 << 31) - 1
 
 
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form of an integer matrix.
+
+    Returns the reduced rows, the pivot column of each leading row and
+    the sign of the row permutation.  A column with no pivot below the
+    rows already placed is skipped.  Every entry stays an integer minor
+    of the input, so each division by the previous pivot is exact.
+    """
+    m = [list(map(int, r)) for r in rows]
+    height, width = len(m), len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for col in range(width):
+        row = len(pivots)
+        if row == height:
+            break
+        pivot_row = next((r for r in range(row, height) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            m[row], m[pivot_row] = m[pivot_row], m[row]
+            sign = -sign
+        pivot = m[row][col]
+        for r in range(row + 1, height):
+            for c in range(col + 1, width):
+                m[r][c] = (m[r][c] * pivot - m[r][col] * m[row][c]) // prev
+            m[r][col] = 0
+        prev = pivot
+        pivots.append(col)
+    return m, pivots, sign
+
+
 def int_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix.
 
     Sizes 1 and 2 (nearly every Plücker minor) are read off in closed
-    form; larger matrices go through fraction-free elimination.
+    form; larger matrices go through the fraction-free echelon.
     """
     size = len(rows)
     if size == 0:
@@ -31,93 +65,28 @@ def int_det(rows: list[list[int]]) -> int:
     if size == 2:
         (a, b), (c, d) = rows
         return int(a) * int(d) - int(b) * int(c)
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = pivot
-    return sign * m[size - 1][size - 1]
-
-
-def _rank_mod_p(dense: np.ndarray) -> int:
-    """Row-reduce modulo MOD_PRIME; int64 products stay below 2**63."""
-    m = dense % MOD_PRIME
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivots = np.nonzero(m[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), MOD_PRIME - 2, MOD_PRIME)
-        m[rank] = (m[rank] * inv) % MOD_PRIME
-        below = m[rank + 1 :, col].copy()
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            m[rank + 1 + nz] = (
-                m[rank + 1 + nz] - below[nz, None] * m[rank][None, :]
-            ) % MOD_PRIME
-        rank += 1
-    return rank
+    m, pivots, sign = _echelon(rows)
+    return sign * m[-1][-1] if len(pivots) == size else 0
 
 
 def _rank_exact(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) rank over the integers, with pivoting."""
-    m = [list(map(int, r)) for r in rows]
-    if not m:
-        return 0
-    height, width = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(row, height) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, height):
-            for c in range(col + 1, width):
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = pivot
-        rank += 1
-        row += 1
-        if row == height:
-            break
-    return rank
+    """Rank over Q of an integer matrix, by the fraction-free echelon."""
+    return len(_echelon(rows)[1])
 
 
 def exact_rank(rows: list[list[int]]) -> int:
     """Rank over Q of an integer matrix.
 
-    The mod-p pass is a lower bound; when it already reaches the smaller
-    dimension the exact rank is settled.  Otherwise (rare here) the
-    Bareiss pass recomputes the rank exactly.
+    The rows stream through a :class:`RankTracker`: its mod-p rank is a
+    lower bound that settles the rank when it reaches the smaller
+    dimension, and otherwise the fraction-free recount decides.
     """
     if not rows:
         return 0
-    width = len(rows[0])
-    dense = np.array([[v % MOD_PRIME for v in r] for r in rows], dtype=np.int64)
-    rank_p = _rank_mod_p(dense)
-    if rank_p == min(len(rows), width):
-        return rank_p
-    return _rank_exact(rows)
+    tracker = RankTracker(len(rows[0]))
+    for row in rows:
+        tracker.add(row)
+    return tracker.exact()
 
 
 class RankTracker:
@@ -160,41 +129,20 @@ class RankTracker:
         return _rank_exact(self.rows)
 
 
-def solve_rational(
-    columns: list[list[int]], rhs: list[int]
-) -> list[Fraction] | None:
-    """One exact solution x of (columns as matrix) @ x = rhs, or None.
+def solve_rational(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """One exact solution x of rows @ x = rhs, or None if there is none.
 
-    Standard Gauss-Jordan over Fraction; free variables are set to zero.
-    Column count is expected to be modest (certificate fallback only).
+    The augmented rows go through the fraction-free echelon; the system
+    is inconsistent exactly when the rhs column takes a pivot.  Free
+    variables are set to zero and the pivot variables back-substituted.
     """
-    height = len(rhs)
-    width = len(columns)
-    a = [
-        [Fraction(columns[j][i]) for j in range(width)] + [Fraction(rhs[i])]
-        for i in range(height)
-    ]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(row, height) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for r in range(height):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == height:
-            break
-    for r in range(row, height):
-        if a[r][width] != 0:
-            return None
+    width = len(rows[0]) if rows else 0
+    m, pivots, _ = _echelon([[*row, b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == width:
+        return None
     x = [Fraction(0)] * width
-    for r, col in enumerate(pivot_cols):
-        x[col] = a[r][width]
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        rest = sum(m[r][c] * x[c] for c in pivots[r + 1 :])
+        x[col] = (m[r][width] - rest) / Fraction(m[r][col])
     return x

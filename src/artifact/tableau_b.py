@@ -131,29 +131,16 @@ class TableauB:
         return all(is_admissible(a, b, self.n) for a, b in self.paired())
 
 
-@dataclass(frozen=True)
-class HalfWeight:
-    """Weight of a type-B tableau: numerators over a fixed denominator 2."""
-
-    numerators: tuple[int, ...]
-
-    @property
-    def denominator(self) -> int:
-        return 2
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.numerators)
-
-
-def half_weight(t: TableauB) -> HalfWeight:
+def half_weight(t: TableauB) -> tuple[int, ...]:
+    """Twice the weight of a type-B tableau: c_j - c_{2n+1-j} for j = 1..n."""
     c = t.content()
     top = 2 * t.n
-    return HalfWeight(tuple(c[j] - c[top - 1 - j] for j in range(t.n)))
+    return tuple(c[j] - c[top - 1 - j] for j in range(t.n))
 
 
 def is_t_invariant_b(t: TableauB) -> bool:
     """Opposite entries t and 2n+1-t must appear equally often."""
-    return half_weight(t).is_zero()
+    return not any(half_weight(t))
 
 
 def _row_candidates(n: int, length: int) -> list[tuple[int, ...]]:

@@ -396,6 +396,8 @@ def check_duality(r: int, n: int, k_max: int) -> dict:
     Counts zero-weight standard tableaux for G(r, n) against G(n-r, n)
     in degrees 1..k_max; the pairing is expected to match exactly.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     left, right = _grassmannian_side(r, n), _grassmannian_side(n - r, n)
     rows = []
     all_equal = True
@@ -414,7 +416,13 @@ def check_duality(r: int, n: int, k_max: int) -> dict:
 def run_instance_check(
     instance: GroupInstance, k: int, d: int
 ) -> GenerationReport:
-    """Descent gate plus the family-appropriate generation check."""
+    """Descent gate plus the family-appropriate generation check.
+
+    A negative generation degree is bad input (``ValueError``); d = 0
+    is a real bound, which every nonempty degree-k piece fails.
+    """
+    if d < 0:
+        raise ValueError("generation degree must be non-negative")
     if not descent_ok(instance):
         return GenerationReport(
             _label(instance),
@@ -454,8 +462,8 @@ def factor_by_linear_algebra(
     """Exact fallback: solve f = sum c * g * h in basis coordinates.
 
     Unknowns range over (degree-one generator, degree k-1 basis element)
-    pairs; a rational solve over the straightened product columns either
-    yields a certificate or proves none exists.
+    pairs; an exact solve over the integer coordinates of the straightened
+    products either yields a certificate or proves none exists.
     """
     unit_shape = shape_from_weight(instance, 1)
     boxes = sum(len(r) for r in f.factors)
@@ -469,18 +477,17 @@ def factor_by_linear_algebra(
     units = degree_one_basis(instance)
     cofactors = basis_monomials(instance, k - 1)
     pairs = [(g, h) for g in units for h in cofactors]
-    columns = []
-    for g, h in pairs:
-        col = [Fraction(0)] * len(basis_k)
-        for mono, coeff in straighten(g * h).items():
-            col[index[mono]] = coeff
-        columns.append(col)
-    rhs = [Fraction(0)] * len(basis_k)
     pos = index.get(f)
     if pos is None:
         raise ValueError("monomial is not a zero-weight standard basis element")
-    rhs[pos] = Fraction(1)
-    solution = solve_rational(columns, rhs)
+    rows = [[0] * len(pairs) for _ in basis_k]
+    for j, (g, h) in enumerate(pairs):
+        for mono, coeff in straighten(g * h).items():
+            if coeff.denominator != 1:
+                raise AssertionError("integral relations produce integral columns")
+            rows[index[mono]][j] = int(coeff)
+    rhs = [int(i == pos) for i in range(len(basis_k))]
+    solution = solve_rational(rows, rhs)
     if solution is None:
         raise ValueError("monomial is not generated in degree one")
     return [

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from .linalg import solve_rational
+
 FAMILY_A = "A"
 FAMILY_B = "B"
 
@@ -99,7 +101,7 @@ class ShapeA:
 
 
 @dataclass(frozen=True)
-class ShapeB:
+class ShapeB(ShapeA):
     """Type-B shape: column lengths plus the spin-row bookkeeping.
 
     ``spin_part`` is the scaled coefficient of the last fundamental
@@ -107,30 +109,14 @@ class ShapeB:
     admissibility condition, the trailing ``spin_part`` rows are not.
     """
 
-    column_lengths: tuple[int, ...]
     spin_part: int
     paired_rows: int
 
     def __post_init__(self) -> None:
-        cols = tuple(self.column_lengths)
-        if any(c <= 0 for c in cols):
-            raise ValueError("column lengths must be positive")
-        if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
-            raise ValueError("column lengths must be weakly decreasing")
-        object.__setattr__(self, "column_lengths", cols)
-        rows = cols[0] if cols else 0
+        super().__post_init__()
+        rows = self.column_lengths[0] if self.column_lengths else 0
         if 2 * self.paired_rows + self.spin_part != rows:
             raise ValueError("paired rows and spin rows must tile the row count")
-
-    @property
-    def boxes(self) -> int:
-        return sum(self.column_lengths)
-
-    def row_lengths(self) -> tuple[int, ...]:
-        cols = self.column_lengths
-        if not cols:
-            return ()
-        return tuple(sum(1 for c in cols if c > i) for i in range(cols[0]))
 
 
 def shape_from_weight(instance: GroupInstance, degree: int) -> ShapeA | ShapeB:
@@ -186,28 +172,10 @@ def cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return m
 
 
-def _solve_exact(matrix: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
-    # Plain Gaussian elimination over Fraction; the systems here are tiny.
-    size = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(size)] + [rhs[i]] for i in range(size)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][size] for i in range(size)]
-
-
 def root_coordinates(instance: GroupInstance) -> tuple[Fraction, ...]:
     """Coordinates of m*lambda in the simple-root basis, exact."""
-    rank = instance.rank
-    cart = cartan_matrix(instance.family, rank)
-    rhs = [Fraction(c) for c in instance.scaled_weight(1)]
-    return tuple(_solve_exact(cart, rhs))
+    cartan = cartan_matrix(instance.family, instance.rank)
+    return tuple(solve_rational(cartan, list(instance.scaled_weight(1))))
 
 
 def descent_ok(instance: GroupInstance) -> bool:

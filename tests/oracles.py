@@ -11,6 +11,7 @@ import functools
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 from typing import Iterator
 
 from artifact.extract import degree_one_basis
@@ -504,3 +505,47 @@ def int_det_bareiss(rows: list[list[int]]) -> int:
             m[r][col] = 0
         prev = pivot
     return sign * m[size - 1][size - 1] if size else 1
+
+
+def _gauss_jordan(rows, width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over Fraction, pivoting in the first ``width`` columns only."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    height = len(a)
+    pivot_cols: list[int] = []
+    for col in range(width):
+        row = len(pivot_cols)
+        pivot_row = next((r for r in range(row, height) if a[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        a[row], a[pivot_row] = a[pivot_row], a[row]
+        inv = a[row][col]
+        a[row] = [x / inv for x in a[row]]
+        for r in range(height):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivot_cols.append(col)
+    return a, pivot_cols
+
+
+def rank_fraction(rows) -> int:
+    """Rank over Q by Gauss-Jordan on Fraction entries."""
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def solve_gauss_jordan(rows, rhs) -> list[Fraction] | None:
+    """rows @ x = rhs by Gauss-Jordan over Fraction, free variables zero, or None.
+
+    This is the solver the package ran before its single fraction-free
+    echelon (it took the matrix by columns then): eliminate the
+    coefficient columns of the augmented rows, then any zero row with a
+    nonzero right-hand side proves the system inconsistent.
+    """
+    width = len(rows[0]) if rows else 0
+    a, pivot_cols = _gauss_jordan([[*row, b] for row, b in zip(rows, rhs)], width)
+    if any(a[r][width] != 0 for r in range(len(pivot_cols), len(a))):
+        return None
+    x = [Fraction(0)] * width
+    for r, col in enumerate(pivot_cols):
+        x[col] = a[r][width]
+    return x

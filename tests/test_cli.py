@@ -6,7 +6,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import artifact.cli as cli
@@ -200,6 +200,17 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1].split() == ["g36", "2", "2", "16", "16", "pass"]
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("label", ["g24", "spin5w1"])
+    def test_negative_generation_degree_is_a_usage_error(self, capsys, label, fmt):
+        code, out, err = run(capsys, "verify", label, "-k", "2", "-d", "-1", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: generation degree must be non-negative\n")
+
+    def test_generation_degree_zero_is_a_certified_fail(self, capsys):
+        code, out, _ = run(capsys, "verify", "g24", "-k", "2", "-d", "0", "--format", "csv")
+        assert code == 1
+        assert out.splitlines()[1] == "g24,2,0,5,0,fail"
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "g24", "-k", "2", "-d", "1", "--format", "csv"
@@ -250,6 +261,12 @@ class TestDuality:
         ]
         assert payload["verdict"] == "pass"
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_empty_degree_range_is_a_usage_error(self, capsys, k_max, fmt):
+        code, out, err = run(capsys, "duality", "2", "4", "--k-max", k_max, "--format", fmt)
+        assert (code, out, err) == (2, "", "error: k_max must be at least 1\n")
+
     def test_two_digit_labels_read_back(self, capsys):
         _, out, _ = run(capsys, "duality", "1", "10", "--k-max", "1", "--format", "json")
         payload = json.loads(out)
@@ -277,6 +294,15 @@ class TestSuite:
         code, out, _ = run(capsys, "suite", "--manifest", str(path))
         assert code == 0
         assert out.splitlines()[1].split() == ["g24", "2", "1", "5", "5", "pass"]
+
+    def test_negative_manifest_degree_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([
+            {"family": "A", "n": 4, "parabolic": [2], "weight": [0, 1, 0],
+             "multiple": 4, "label": "g24", "k": 2, "genDegree": -1},
+        ]))
+        code, out, err = run(capsys, "suite", "--manifest", str(path))
+        assert (code, out, err) == (2, "", "error: generation degree must be non-negative\n")
 
     def test_bad_manifest_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "manifest.json"
@@ -350,7 +376,7 @@ _MONOMIALS = [
 _STRAY = ["--bogus", "-k", "-d", "--count-only", "--format", "xml", "--seed", "--k-max", "2", "5"]
 _OPTION = st.one_of(
     st.integers(1, 3).map(lambda k: ["-k", str(k)]),
-    st.integers(1, 2).map(lambda d: ["-d", str(d)]),
+    st.integers(-1, 2).map(lambda d: ["-d", str(d)]),
     st.sampled_from(["csv", "json", "table"]).map(lambda f: ["--format", f]),
     st.sampled_from(_MONOMIALS).map(lambda m: [m]),
     st.sampled_from(_STRAY).map(lambda x: [x]),
@@ -364,14 +390,23 @@ _ARGV = st.one_of(
     st.tuples(
         st.sampled_from(_MONOMIALS + _LABELS), st.lists(_OPTION, max_size=2)
     ).map(lambda t: ["straighten", "-n", "4", t[0], *(x for piece in t[1] for x in piece)]),
-    st.lists(st.sampled_from(["0", "1", "2", "3", "5", "-1", "x"]), min_size=2, max_size=3).map(
-        lambda t: ["duality", *t]
-    ),
+    st.tuples(
+        st.lists(st.sampled_from(["0", "1", "2", "3", "5", "-1", "x"]), min_size=2, max_size=3),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["-1", "0", "1", "2"]).map(lambda k: ["--k-max", k]),
+                st.sampled_from(["csv", "json", "table"]).map(lambda f: ["--format", f]),
+            ),
+            max_size=2,
+        ),
+    ).map(lambda t: ["duality", *t[0], *(x for piece in t[1] for x in piece)]),
 )
 
 
 @settings(max_examples=80, deadline=None)
 @given(_ARGV)
+@example(["duality", "2", "4", "--k-max", "0"])
+@example(["duality", "1", "3", "--k-max", "-1", "--format", "json"])
 def test_exit_code_contract_on_random_argv(argv):
     code, _, _ = outcome(argv)
     assert code in (0, 1, 2, ("SystemExit", 2)), argv

@@ -223,12 +223,24 @@ class TestEvaluation:
 
 
 class TestIntDet:
-    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
     def test_matches_elimination(self, size):
         rng = random.Random(size)
+        singular = 0
         for _ in range(300):
             rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            if rng.random() < 0.3:
+                # a multiple of another row, or a zero column
+                if size > 1 and rng.random() < 0.5:
+                    a, b = rng.sample(range(size), 2)
+                    rows[a] = [rng.randint(-2, 2) * y for y in rows[b]]
+                else:
+                    col = rng.randrange(size)
+                    for row in rows:
+                        row[col] = 0
+            singular += int_det_bareiss(rows) == 0
             assert int_det(rows) == int_det_bareiss(rows), rows
+        assert singular >= 30
 
     def test_singular_and_empty(self):
         assert int_det([]) == 1

@@ -345,15 +345,19 @@ TRIPPED_CHECKS = textwrap.dedent(
 
     import artifact.graphs as graphs
     import artifact.plucker as plucker
+    import artifact.verifier as verifier
     from artifact.extract import _validate_terms
     from artifact.graphs import LoopedMultigraph, two_factorize
     from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
     from artifact.verifier import _residue_row
+    from artifact.weights import instance_by_label
 
     assert False, "plain asserts are stripped under -O"
     mono = PluckerMonomial(4, ((1, 2), (3, 4)))
     half = PluckerPoly.from_monomial(mono, Fraction(1, 2))
     whole = PluckerPoly.from_monomial(mono)
+    g24 = instance_by_label("g24")
+    target = verifier.basis_monomials(g24, 2)[0]
     matchings = graphs.one_factorize_bipartite
     checks = {
         "integral row": lambda: _residue_row(half, {mono.factors}, {}),
@@ -365,7 +369,9 @@ TRIPPED_CHECKS = textwrap.dedent(
         ),
         "shuffle pool": lambda: plucker._shuffle_rewrite((2, 3), (2, 2)),
         "shuffle identity": lambda: plucker._shuffle_rewrite((1, 3), (1, 2)),
+        "integral columns": lambda: verifier.factor_by_linear_algebra(g24, target),
     }
+    verifier.straighten = lambda poly: PluckerPoly.from_monomial(target, Fraction(1, 2))
     plucker._pair_rewrite = lambda upper, lower: ((1, upper, lower),)
     plucker._sort_sign = lambda seq: (0, ())
     graphs.one_factorize_bipartite = lambda *a: [m[:-1] for m in matchings(*a)]
@@ -388,4 +394,5 @@ def test_invariant_checks_survive_optimized_mode():
     assert done.stdout.splitlines() == [
         "integral row", "in piece", "extraction identity",
         "measure decrease", "2-regular factor", "shuffle pool", "shuffle identity",
+        "integral columns",
     ]
