@@ -4,12 +4,13 @@ Six subcommands: enumerate the invariant basis, straighten a polynomial,
 factorize an invariant monomial into degree-one generators, verify one
 generation bound, compare dual Grassmannian dimensions, and run the full
 packaged suite.  Exit codes: 0 on success or an all-pass verdict, 1 when
-a verification fails, 2 on usage or configuration errors, 3 when an
-internal check fails.  Output is deterministic byte for byte for a fixed
-command line.  The parser is built once per process, on the first call,
-and shared by every later ``main`` call: parsing keeps no state between
-calls, so ``main`` can be called repeatedly in one process with the same
-bytes and exit codes as separate runs.
+a verification fails, 2 on usage or configuration errors or a problem
+too large to run, 3 when an internal check fails.  Output is
+deterministic byte for byte for a fixed command line.  The parser is
+built once per process, on the first call, and shared by every later
+``main`` call: parsing keeps no state between calls, so ``main`` can be
+called repeatedly in one process with the same bytes and exit codes as
+separate runs.
 """
 
 from __future__ import annotations
@@ -284,6 +285,10 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # the strip table recurses once per value, so a huge n runs out of stack
+        print(f"error: problem too large: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         # an explicit internal check failed: a bug, not a failed verification

@@ -32,8 +32,9 @@ from .graphs import (
     one_factorize_bipartite,
     two_factorize,
 )
-from .plucker import PluckerMonomial, PluckerPoly, straighten, monomial_from_tableau
-from .tableau_a import TableauA, content_vector, enumerate_standard
+from .plucker import PluckerMonomial, PluckerPoly, straighten
+from .tableau_a import TableauA, content_vector
+from .verifier import basis_monomials, factor_by_linear_algebra
 from .weights import FAMILY_A, GroupInstance, shape_from_weight
 
 logger = logging.getLogger(__name__)
@@ -357,12 +358,7 @@ def _monomial_degree(instance: GroupInstance, f: PluckerMonomial) -> int:
 
 def degree_one_basis(instance: GroupInstance) -> list[PluckerMonomial]:
     """Zero-weight standard monomials of degree one, enumeration order."""
-    unit_shape, _, _ = _unit_data(instance)
-    n = instance.n
-    return [
-        monomial_from_tableau(t)
-        for t in enumerate_standard(unit_shape, n, "uniform")
-    ]
+    return basis_monomials(instance, 1)
 
 
 def _take_rows(i, rows, mults, idx_left, need_len, need_idx, picked) -> bool:
@@ -573,8 +569,6 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
             logger.warning(
                 "combinatorial extraction jammed (%s); using linear algebra", exc
             )
-    from .verifier import factor_by_linear_algebra
-
     out = factor_by_linear_algebra(instance, f)
     _validate_terms(f, out)
     return out

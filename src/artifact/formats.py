@@ -25,10 +25,6 @@ def format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def format_monomial(m: PluckerMonomial) -> str:
-    return str(m)
-
-
 def format_poly(p: PluckerPoly) -> str:
     """One signed term per line, ordered by the canonical factor tuples."""
     if p.is_zero():
@@ -151,10 +147,6 @@ def certificate_json(cert: FactorCertificate, verified: bool | None = None) -> d
     if verified is not None:
         out["verified"] = verified
     return out
-
-
-def report_json(report: GenerationReport) -> dict:
-    return report.as_dict()
 
 
 REPORT_COLUMNS = ("instance", "k", "d", "dim", "rank", "verdict")

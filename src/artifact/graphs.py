@@ -68,11 +68,6 @@ class LoopedMultigraph:
         e = (a, b) if a <= b else (b, a)
         self.edges.remove(e)
 
-    def union(self, other: "LoopedMultigraph") -> "LoopedMultigraph":
-        if self.n != other.n:
-            raise ValueError("vertex-count mismatch")
-        return LoopedMultigraph(self.n, self.edges + other.edges)
-
     def components(self) -> list[list[Edge]]:
         """Edge lists of connected components (isolated vertices skipped)."""
         adj: dict[int, list[int]] = defaultdict(list)

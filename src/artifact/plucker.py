@@ -18,13 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .linalg import int_det
-from .tableau_a import TableauA, canonical_rows, rows_standard
+from .tableau_a import TableauA, canonical_rows, check_rows, divide_rows, first_violation
 
 Factors = tuple[tuple[int, ...], ...]
-
-
-def _factor_key(row: tuple[int, ...]):
-    return (-len(row), row)
 
 
 @dataclass(frozen=True)
@@ -35,22 +31,13 @@ class PluckerMonomial:
     factors: Factors
 
     def __post_init__(self) -> None:
-        rows = tuple(sorted((tuple(r) for r in self.factors), key=_factor_key))
+        rows = canonical_rows(self.factors)
         object.__setattr__(self, "factors", rows)
-        for row in rows:
-            if not row:
-                raise ValueError("empty index tuple")
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError(f"indices {row} are not strictly increasing")
-            if row[0] < 1 or row[-1] > self.n:
-                raise ValueError(f"indices {row} leave the range 1..{self.n}")
+        check_rows(rows, self.n)
 
     @property
     def is_standard(self) -> bool:
-        return rows_standard(self.factors)
-
-    def length_profile(self) -> tuple[int, ...]:
-        return tuple(sorted({len(r) for r in self.factors}))
+        return first_violation(self.factors) is None
 
     def __mul__(self, other: "PluckerMonomial") -> "PluckerMonomial":
         if self.n != other.n:
@@ -59,23 +46,14 @@ class PluckerMonomial:
 
     def divides(self, other: "PluckerMonomial") -> bool:
         """Sub-multiset test on factors."""
-        from collections import Counter
-
-        mine, theirs = Counter(self.factors), Counter(other.factors)
-        return all(theirs[f] >= c for f, c in mine.items())
+        return divide_rows(other.factors, self.factors) is not None
 
     def quotient(self, other: "PluckerMonomial") -> "PluckerMonomial":
         """Remove the factors of ``other`` (which must divide self)."""
-        from collections import Counter
-
-        left = Counter(self.factors)
-        left.subtract(Counter(other.factors))
-        if any(c < 0 for c in left.values()):
+        rows = divide_rows(self.factors, other.factors)
+        if rows is None:
             raise ValueError("quotient by a non-divisor")
-        rows: list[tuple[int, ...]] = []
-        for f, c in left.items():
-            rows.extend([f] * c)
-        return PluckerMonomial(self.n, tuple(rows))
+        return PluckerMonomial(self.n, rows)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -175,16 +153,6 @@ def _sort_sign(seq: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(sorted(arr))
 
 
-def _first_violation(factors: Factors) -> int | None:
-    """Index of the first adjacent row pair breaking the column test."""
-    for idx in range(len(factors) - 1):
-        upper, lower = factors[idx], factors[idx + 1]
-        shared = min(len(upper), len(lower))
-        if any(upper[t] > lower[t] for t in range(shared)):
-            return idx
-    return None
-
-
 _REWRITE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
 
 
@@ -244,10 +212,6 @@ def _shuffle_rewrite(upper: tuple[int, ...], lower: tuple[int, ...]) -> tuple:
     return tuple((-c * identity_sign, x, y) for c, x, y in raw)
 
 
-def _canonical_insert(rest: Factors, row1: tuple[int, ...], row2: tuple[int, ...]) -> Factors:
-    return tuple(sorted(rest + (row1, row2), key=_factor_key))
-
-
 def _validate_profile(factors: Factors) -> None:
     lengths = {len(r) for r in factors}
     if len(lengths) > 1 and lengths != {1, 2}:
@@ -276,7 +240,7 @@ def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
         coeff = pending.pop(fac, None)
         if coeff is None or coeff == 0:
             continue
-        idx = _first_violation(fac)
+        idx = first_violation(fac)
         if idx is None:
             out[fac] = out.get(fac, Fraction(0)) + coeff
             continue
@@ -284,7 +248,7 @@ def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
         rest = fac[:idx] + fac[idx + 2 :]
         old_measure = _measure(fac)
         for sign, row1, row2 in _pair_rewrite(upper, lower):
-            nxt = _canonical_insert(rest, row1, row2)
+            nxt = canonical_rows(rest + (row1, row2))
             measure = _measure(nxt)
             if not measure < old_measure:
                 raise AssertionError("rewrite must lower the measure")

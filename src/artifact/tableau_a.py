@@ -1,8 +1,11 @@
 """Type-A Young tableaux with strictly increasing rows.
 
-Standardness is decided on a canonical arrangement (rows sorted by
-length descending, then lexicographically) so that "some arrangement is
-standard" becomes a single deterministic test.
+This module owns the row format that type-A tableaux, Plücker monomials
+and type-B tableaux share: the canonical arrangement (rows sorted by
+length descending, then lexicographically), the row checks, the column
+test and the division of row multisets.  Standardness is decided on the
+canonical arrangement so that "some arrangement is standard" becomes a
+single deterministic test.
 
 Read transposed, a standard tableau is a semistandard Young tableau
 (SSYT) whose rows are the columns here, so enumeration and counting work
@@ -18,6 +21,7 @@ rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, gt
 from typing import Iterator
 
 from .weights import ShapeA
@@ -25,21 +29,63 @@ from .weights import ShapeA
 
 def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Sort rows into the canonical arrangement: longer first, then lex."""
-    return tuple(sorted((tuple(r) for r in rows), key=lambda r: (-len(r), r)))
+    # the length sort is stable, so rows of one length keep their lex order
+    return tuple(sorted(sorted(map(tuple, rows)), key=len, reverse=True))
+
+
+def check_rows(rows, top: int) -> None:
+    """Each row must be nonempty, strictly increasing and inside 1..top."""
+    for row in rows:
+        if not row:
+            raise ValueError("empty row")
+        if any(map(ge, row, row[1:])):
+            raise ValueError(f"row {row} is not strictly increasing")
+        if row[0] < 1 or row[-1] > top:
+            raise ValueError(f"row {row} leaves the range 1..{top}")
+
+
+def row_content(rows, top: int) -> tuple[int, ...]:
+    """How often each of 1..top appears in the rows."""
+    counts = [0] * top
+    for row in rows:
+        for e in row:
+            counts[e - 1] += 1
+    return tuple(counts)
+
+
+def first_violation(rows) -> int | None:
+    """Index of the first adjacent row pair that breaks the column test.
+
+    A lower row may not be longer than the row above it, and along their
+    shared prefix the upper row must be entrywise (weakly) smaller;
+    transitivity then gives non-decreasing columns everywhere.
+    """
+    for idx in range(len(rows) - 1):
+        upper, lower = rows[idx], rows[idx + 1]
+        if len(lower) > len(upper) or any(map(gt, upper, lower)):
+            return idx
+    return None
 
 
 def rows_standard(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Column test on canonically arranged rows.
+    """Column test on canonically arranged rows."""
+    return first_violation(rows) is None
 
-    Adjacent rows must compare entrywise (weakly) along their shared
-    prefix; transitivity then gives non-decreasing columns everywhere.
+
+def divide_rows(rows: tuple, divisor: tuple) -> tuple | None:
+    """Quotient of two multisets sorted the same way, or None.
+
+    A sub-multiset of a sorted sequence is a subsequence of it, so one
+    greedy pass either matches every divisor item or proves it no divisor.
     """
-    for upper, lower in zip(rows, rows[1:]):
-        if len(lower) > len(upper):
-            return False
-        if any(upper[j] > lower[j] for j in range(len(lower))):
-            return False
-    return True
+    rest = []
+    i = 0
+    for row in rows:
+        if i < len(divisor) and row == divisor[i]:
+            i += 1
+        else:
+            rest.append(row)
+    return tuple(rest) if i == len(divisor) else None
 
 
 @dataclass(frozen=True)
@@ -50,15 +96,9 @@ class TableauA:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        for row in rows:
-            if not row:
-                raise ValueError("empty row")
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError(f"row {row} is not strictly increasing")
-            if row[0] < 1 or row[-1] > self.n:
-                raise ValueError(f"row {row} leaves the range 1..{self.n}")
+        check_rows(rows, self.n)
 
     def canonical(self) -> "TableauA":
         return TableauA(self.n, canonical_rows(self.rows))
@@ -69,11 +109,7 @@ class TableauA:
 
     def content(self) -> tuple[int, ...]:
         """How often each of 1..n appears."""
-        counts = [0] * self.n
-        for row in self.rows:
-            for e in row:
-                counts[e - 1] += 1
-        return tuple(counts)
+        return row_content(self.rows, self.n)
 
     def is_t_invariant(self) -> bool:
         """All entries appear equally often (the torus fixes the monomial)."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from .tableau_a import check_rows, first_violation, row_content
 from .weights import FAMILY_B, GroupInstance, ShapeB, shape_from_weight
 
 
@@ -82,44 +83,27 @@ class TableauB:
     spin_rows: int
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         if 2 * self.paired_prefix + self.spin_rows != len(rows):
             raise ValueError("paired and spin rows must tile the tableau")
         top = 2 * self.n
+        check_rows(rows, top)
         for row in rows:
-            if not row:
-                raise ValueError("empty row")
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError(f"row {row} is not strictly increasing")
-            if row[0] < 1 or row[-1] > top:
-                raise ValueError(f"row {row} leaves the range 1..{top}")
             for e in row:
                 if top + 1 - e in row:
-                    raise ValueError(
-                        f"row {row} holds both {e} and {top + 1 - e}"
-                    )
+                    raise ValueError(f"row {row} holds both {e} and {top + 1 - e}")
 
     @property
     def boxes(self) -> int:
         return sum(len(r) for r in self.rows)
 
     def content(self) -> tuple[int, ...]:
-        counts = [0] * (2 * self.n)
-        for row in self.rows:
-            for e in row:
-                counts[e - 1] += 1
-        return tuple(counts)
+        return row_content(self.rows, 2 * self.n)
 
     def is_standard(self) -> bool:
         """Strictly increasing rows, columns non-decreasing in row order."""
-        rows = self.rows
-        for upper, lower in zip(rows, rows[1:]):
-            if len(lower) > len(upper):
-                return False
-            if any(upper[j] > lower[j] for j in range(len(lower))):
-                return False
-        return True
+        return first_violation(self.rows) is None
 
     def paired(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return [

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .extract import degree_one_basis
 from .linalg import RankTracker, solve_rational
 from .plucker import (
     Factors,
@@ -34,7 +33,13 @@ from .plucker import (
     seeded_matrices,
     straighten,
 )
-from .tableau_a import count_standard, enumerate_standard, rows_standard
+from .tableau_a import (
+    canonical_rows,
+    count_standard,
+    divide_rows,
+    enumerate_standard,
+    rows_standard,
+)
 from .tableau_b import TableauB, enumerate_standard_b
 from .weights import (
     FAMILY_A,
@@ -46,6 +51,7 @@ from .weights import (
     grassmannian,
     grassmannian_label,
     instance_from_entry,
+    manifest_int,
     shape_from_weight,
 )
 
@@ -146,18 +152,6 @@ def basis_size(instance: GroupInstance, degree: int) -> int:
     return count_standard(shape, instance.n, "uniform")
 
 
-def _divide(units: tuple, divisor: tuple) -> tuple | None:
-    """Quotient of two unit multisets sorted the same way, or None."""
-    rest = []
-    i = 0
-    for unit in units:
-        if i < len(divisor) and unit == divisor[i]:
-            i += 1
-        else:
-            rest.append(unit)
-    return tuple(rest) if i == len(divisor) else None
-
-
 def unit_splitter(
     lower: dict[int, list[tuple]],
 ) -> Callable[[tuple, int], list[tuple] | None]:
@@ -188,7 +182,7 @@ def unit_splitter(
                     [piece, *sub]
                     for j, heads in by_head.items()
                     for piece in heads.get(units[0], ())
-                    if (rest := _divide(units, piece)) is not None
+                    if (rest := divide_rows(units, piece)) is not None
                     and (sub := split(rest, degree - j)) is not None
                 ),
                 None,
@@ -309,9 +303,8 @@ def _residue_rank(
             for j, c in sorted(Counter(parts).items())
         ]
         for pick in itertools.product(*pools):
-            rows = sorted(r for group in pick for piece in group for r in piece)
-            # canonical arrangement: the stable sort keeps lex order per length
-            products.add(tuple(sorted(rows, key=len, reverse=True)))
+            rows = [r for group in pick for piece in group for r in piece]
+            products.add(canonical_rows(rows))
     targets = [Counter(r) for r in residue]
 
     def nearest(factors: Factors) -> int:
@@ -441,8 +434,8 @@ def run_instance_check(
 def run_paper_suite(entries: list[dict] | None = None) -> list[GenerationReport]:
     """Run every manifest entry, in order; defaults to the packaged catalog.
 
-    Optional per-entry keys "k" (default 2) and "genDegree" (default the
-    instance's expected generation degree) drive the check.
+    Optional per-entry integer keys "k" (default 2) and "genDegree"
+    (default the instance's expected generation degree) drive the check.
     """
     from .weights import _load_catalog
 
@@ -450,8 +443,8 @@ def run_paper_suite(entries: list[dict] | None = None) -> list[GenerationReport]
     reports = []
     for entry in raw:
         instance = instance_from_entry(entry)
-        k = int(entry.get("k", 2))
-        d = int(entry.get("genDegree", default_generation_degree(instance)))
+        k = manifest_int(entry, "k", 2)
+        d = manifest_int(entry, "genDegree", default_generation_degree(instance))
         reports.append(run_instance_check(instance, k, d))
     return reports
 
@@ -474,7 +467,7 @@ def factor_by_linear_algebra(
         raise ValueError("degree must be at least 2")
     basis_k = basis_monomials(instance, k)
     index = {m: i for i, m in enumerate(basis_k)}
-    units = degree_one_basis(instance)
+    units = basis_monomials(instance, 1)
     cofactors = basis_monomials(instance, k - 1)
     pairs = [(g, h) for g in units for h in cofactors]
     pos = index.get(f)

@@ -218,14 +218,40 @@ def _load_catalog() -> list[dict]:
     return json.loads(text)
 
 
+_REQUIRED = object()
+
+
+def manifest_int(entry: dict, key: str, default=_REQUIRED) -> int:
+    """An integer field of a manifest entry; a bool, float, string or null is refused."""
+    value = entry.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"manifest entry has no {key!r}")
+    if type(value) is not int:  # JSON true/false load as bool, not int
+        raise ValueError(f"manifest key {key!r} must be an integer, not {value!r}")
+    return value
+
+
+def _manifest_ints(entry: dict, key: str) -> tuple[int, ...]:
+    value = entry.get(key, _REQUIRED)
+    if value is _REQUIRED:
+        raise ValueError(f"manifest entry has no {key!r}")
+    if not isinstance(value, list) or any(type(a) is not int for a in value):
+        raise ValueError(f"manifest key {key!r} must be a list of integers, not {value!r}")
+    return tuple(value)
+
+
 def instance_from_entry(entry: dict) -> GroupInstance:
-    """Build a GroupInstance from one manifest dictionary."""
+    """Build a GroupInstance from one manifest dictionary; ValueError names a bad key."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"manifest entry must be a JSON object, not {entry!r}")
+    if "family" not in entry:
+        raise ValueError("manifest entry has no 'family'")
     return GroupInstance(
         family=entry["family"],
-        n=int(entry["n"]),
-        parabolic=tuple(int(i) for i in entry["parabolic"]),
-        weight=tuple(int(a) for a in entry["weight"]),
-        multiple=int(entry["multiple"]),
+        n=manifest_int(entry, "n"),
+        parabolic=_manifest_ints(entry, "parabolic"),
+        weight=_manifest_ints(entry, "weight"),
+        multiple=manifest_int(entry, "multiple"),
         label=str(entry.get("label", "")),
     )
 

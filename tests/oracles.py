@@ -549,3 +549,43 @@ def solve_gauss_jordan(rows, rhs) -> list[Fraction] | None:
     for r, col in enumerate(pivot_cols):
         x[col] = a[r][width]
     return x
+
+
+def canonical_rows_keysort(rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical arrangement through one key function: longer first, then lex."""
+    return tuple(sorted((tuple(r) for r in rows), key=lambda r: (-len(r), r)))
+
+
+def counter_divides(divisor, rows) -> bool:
+    """Sub-multiset test through Counters."""
+    mine, theirs = Counter(divisor), Counter(rows)
+    return all(theirs[f] >= c for f, c in mine.items())
+
+
+def counter_quotient(rows, divisor) -> tuple[tuple[int, ...], ...] | None:
+    """The rows left once divisor's are removed, canonically arranged, or None."""
+    left = Counter(rows)
+    left.subtract(Counter(divisor))
+    if any(c < 0 for c in left.values()):
+        return None
+    return canonical_rows_keysort(f for f, c in left.items() for _ in range(c))
+
+
+def column_loop(rows) -> int | None:
+    """The tableau column loop: a longer lower row, or a larger upper entry."""
+    for idx, (upper, lower) in enumerate(zip(rows, rows[1:])):
+        if len(lower) > len(upper):
+            return idx
+        if any(upper[j] > lower[j] for j in range(len(lower))):
+            return idx
+    return None
+
+
+def shared_prefix_loop(rows) -> int | None:
+    """The straightening column loop: the shared prefix only, no length test."""
+    for idx in range(len(rows) - 1):
+        upper, lower = rows[idx], rows[idx + 1]
+        shared = min(len(upper), len(lower))
+        if any(upper[t] > lower[t] for t in range(shared)):
+            return idx
+    return None

@@ -277,6 +277,9 @@ class TestDuality:
             assert out.split() == ["1"]
 
 
+G24_ENTRY = '{"family": "A", "n": 4, "parabolic": [2], "weight": [0, 1, 0], "multiple": 4}'
+
+
 class TestSuite:
     def test_default_catalog_passes(self, capsys):
         code, out, _ = run(capsys, "suite")
@@ -311,10 +314,43 @@ class TestSuite:
         assert code == 2
         assert "JSON array" in err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('[1]', "JSON object"),
+            ('[{"family": "A"}]', "'n'"),
+            ('[{"family": "A", "n": 4, "parabolic": [2], "weight": 5, "multiple": 4}]',
+             "'weight'"),
+            ('[{"family": "A", "n": 4, "parabolic": null, "weight": [0, 1, 0], "multiple": 4}]',
+             "'parabolic'"),
+            (f'[{G24_ENTRY[:-1]}, "k": null}}]', "'k'"),
+            (f'[{G24_ENTRY[:-1]}, "k": 1e400}}]', "'k'"),
+            (f'[{G24_ENTRY[:-1]}, "k": 2.7}}]', "'k'"),
+        ],
+    )
+    def test_malformed_entry_is_a_usage_error(self, capsys, tmp_path, text, named):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "suite", "--manifest", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: manifest ") and named in err
+        assert err.count("\n") == 1
+
     def test_repeat_runs_are_byte_identical(self, capsys):
         first = run(capsys, "suite", "--format", "csv")
         second = run(capsys, "suite", "--format", "csv")
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "g1_990", "--count-only"), ("duality", "1", "1100", "--k-max", "1")],
+)
+def test_stack_overflow_is_a_problem_too_large(capsys, argv):
+    # the strip table recurses once per value, past the interpreter's limit here
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: problem too large: maximum recursion depth exceeded")
 
 
 def test_internal_check_failure_exits_three(capsys, monkeypatch):

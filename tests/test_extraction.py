@@ -261,14 +261,16 @@ class TestDividingUnit:
 
     def test_no_basis_enumeration_on_the_divide_path(self, monkeypatch):
         import artifact.extract as extract
+        import artifact.verifier as verifier
 
         def refuse(*args):
             raise AssertionError("the divide path enumerated the basis")
 
         inst = instance_by_label("fl511")
         f = basis_monomials(inst, 3)[0]
-        monkeypatch.setattr(extract, "enumerate_standard", refuse)
+        monkeypatch.setattr(extract, "basis_monomials", refuse)
         monkeypatch.setattr(extract, "degree_one_basis", refuse)
+        monkeypatch.setattr(verifier, "enumerate_standard", refuse)
         [(coeff, g, h)] = extract_degree_one(inst, f)
         assert coeff == 1 and g * h == f
 

@@ -20,7 +20,13 @@ from artifact.plucker import (
     tableau_from_monomial,
 )
 from artifact.tableau_a import TableauA
-from oracles import int_det_bareiss, seeded_matrices_randint
+from oracles import (
+    canonical_rows_keysort,
+    counter_divides,
+    counter_quotient,
+    int_det_bareiss,
+    seeded_matrices_randint,
+)
 
 
 def mono(n, *factors):
@@ -62,6 +68,29 @@ class TestMonomial:
     def test_standard_flag(self):
         assert mono(4, (1, 3), (2, 4)).is_standard
         assert not mono(4, (1, 4), (2, 3)).is_standard
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_divides_and_quotient_match_the_counter_oracle(data):
+    n = data.draw(st.integers(3, 5))
+    pool = [r for k in (1, 2, 3) for r in itertools.combinations(range(1, n + 1), k)]
+    rows = data.draw(st.lists(st.sampled_from(pool[:6]), max_size=7))
+    divisor = data.draw(st.lists(st.sampled_from(pool[:6]), max_size=4))
+    f, g = PluckerMonomial(n, tuple(rows)), PluckerMonomial(n, tuple(divisor))
+    assert f.factors == canonical_rows_keysort(rows)
+    assert g.divides(f) == counter_divides(divisor, rows)
+    expected = counter_quotient(rows, divisor)
+    if expected is None:
+        with pytest.raises(ValueError, match="non-divisor"):
+            f.quotient(g)
+    else:
+        assert f.quotient(g).factors == expected
+
+
+def test_row_errors_name_the_row():
+    with pytest.raises(ValueError, match=r"^row \(1, 4\) leaves the range 1\.\.3$"):
+        mono(3, (1, 4))
 
 
 class TestPoly:

@@ -11,11 +11,23 @@ from artifact.tableau_a import (
     canonical_rows,
     content_vector,
     count_standard,
+    divide_rows,
     enumerate_standard,
+    first_violation,
+    rows_standard,
 )
 from artifact.weights import ShapeA, instance_by_label, shape_from_weight
 
-from oracles import enumerate_standard_rowwise, grid_standard, naive_standard_tableaux
+from oracles import (
+    canonical_rows_keysort,
+    column_loop,
+    counter_divides,
+    counter_quotient,
+    enumerate_standard_rowwise,
+    grid_standard,
+    naive_standard_tableaux,
+    shared_prefix_loop,
+)
 
 
 class TestTableauBasics:
@@ -66,6 +78,49 @@ def test_standardness_agrees_with_grid_oracle(data):
     rows = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
     t = TableauA(n, rows)
     assert t.is_standard() == grid_standard(canonical_rows(rows))
+
+
+def _row_multisets(n: int):
+    """Row multisets over 1..n with row lengths 1-3, drawn to repeat rows."""
+    pool = [
+        row for r in (1, 2, 3) for row in itertools.combinations(range(1, n + 1), r)
+    ]
+    few = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    return few.flatmap(lambda distinct: st.lists(st.sampled_from(distinct), max_size=8))
+
+
+class TestRowRules:
+    """The shared row rules against the per-class code they replace."""
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_canonical_order_and_column_test(self, data):
+        rows = data.draw(_row_multisets(data.draw(st.integers(3, 6))))
+        canon = canonical_rows(rows)
+        assert canon == canonical_rows_keysort(rows)
+        # canonical rows never grow downwards, so the two old loops agree there
+        assert first_violation(canon) == column_loop(canon) == shared_prefix_loop(canon)
+        assert rows_standard(canon) == (column_loop(canon) is None)
+        # in any other order the length test counts too
+        assert first_violation(tuple(rows)) == column_loop(tuple(rows))
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_division(self, data):
+        n = data.draw(st.integers(3, 6))
+        rows = data.draw(_row_multisets(n))
+        divisor = data.draw(st.one_of(
+            st.lists(st.sampled_from(rows), max_size=len(rows)) if rows else st.just([]),
+            _row_multisets(n),
+        ))
+        got = divide_rows(canonical_rows(rows), canonical_rows(divisor))
+        assert (got is not None) == counter_divides(divisor, rows)
+        assert got == counter_quotient(rows, divisor)
+
+    def test_a_longer_lower_row_breaks_the_column_test(self):
+        assert first_violation(((1,), (2, 3))) == 0
+        assert first_violation(((1, 2), (1, 2), (1,), (2, 3))) == 2
+        assert first_violation(((1, 2), (1, 2), (3,))) is None
 
 
 class TestContentVector:

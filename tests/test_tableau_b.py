@@ -89,6 +89,9 @@ class TestTableauValidation:
         assert not TableauB(3, ((2, 4), (1, 3)), 1, 0).is_standard()
         # a longer row below a shorter one is not allowed
         assert not TableauB(3, ((1,), (1, 2)), 0, 2).is_standard()
+        # ... even when the rows above it are standard pairs and the
+        # shared prefix compares fine
+        assert not TableauB(3, ((1, 2), (1, 2), (1,), (2, 3)), 1, 2).is_standard()
 
 
 class TestWeights:
