@@ -1,18 +1,18 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers and rationals, in pure Python.
 
 Two eliminations do all of it.  One fraction-free (Bareiss) echelon on
 the integer entries serves the determinant, the exact rank recount and
 the exact solve.  One echelon modulo a large prime, kept incrementally
-by :class:`RankTracker`, is the fast path: it can only under-count, so
-full rank mod p proves full rank over Q, and any deficit is recounted
-by the fraction-free echelon.
+over Python int lists by :class:`RankTracker`, is the fast path: it can
+only under-count, so full rank mod p proves full rank over Q, and any
+deficit is recounted by the fraction-free echelon.  Every rank and
+determinant is integer arithmetic; only the exact solve returns Fractions.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-
-import numpy as np
 
 MOD_PRIME = (1 << 31) - 1
 
@@ -94,38 +94,42 @@ class RankTracker:
 
     Keeps an echelon basis modulo MOD_PRIME for the fast path and the
     original integer rows for the exact recount.  ``add`` reports whether
-    the row enlarged the mod-p span; the final rank is certified by
-    ``exact()`` whenever the fast path did not already reach ``target``.
+    the row enlarged the mod-p span; ``exact()`` returns the mod-p rank
+    when it is full and otherwise recounts the rows by ``_rank_exact``,
+    looked up at call time.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[list[int]] = []
-        self._echelon: dict[int, np.ndarray] = {}
-        self._rank_p = 0
+        # (pivot column, row scaled to pivot 1), in increasing column order
+        self._echelon: list[tuple[int, list[int]]] = []
 
     def add(self, row: list[int]) -> bool:
         self.rows.append(list(row))
-        vec = np.array([v % MOD_PRIME for v in row], dtype=np.int64)
-        for col in sorted(self._echelon):
-            if vec[col]:
-                vec = (vec - vec[col] * self._echelon[col]) % MOD_PRIME
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
+        vec = [v % MOD_PRIME for v in row]
+        for col, pivot in self._echelon:
+            factor = vec[col] % MOD_PRIME
+            if factor:
+                # the pivot row is zero left of col, so only the tail changes;
+                # entries are reduced once, after the last pivot
+                vec[col:] = [v - factor * p for v, p in zip(vec[col:], pivot[col:])]
+        vec = [v % MOD_PRIME for v in vec]
+        lead = next((c for c, v in enumerate(vec) if v), None)
+        if lead is None:
             return False
-        lead = int(nz[0])
-        inv = pow(int(vec[lead]), MOD_PRIME - 2, MOD_PRIME)
-        self._echelon[lead] = (vec * inv) % MOD_PRIME
-        self._rank_p += 1
+        inv = pow(vec[lead], MOD_PRIME - 2, MOD_PRIME)
+        insort(self._echelon, (lead, [v * inv % MOD_PRIME for v in vec]))
         return True
 
     @property
     def rank_lower_bound(self) -> int:
-        return self._rank_p
+        return len(self._echelon)
 
     def exact(self) -> int:
-        if self._rank_p == min(len(self.rows), self.width):
-            return self._rank_p
+        rank = len(self._echelon)
+        if rank == min(len(self.rows), self.width):
+            return rank
         return _rank_exact(self.rows)
 
 

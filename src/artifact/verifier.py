@@ -503,19 +503,19 @@ def validate_certificate(
     evaluated exactly on seeded integer matrices.  On each matrix f and
     every g and h are evaluated apart, never their products, through one
     table of minors, so a minor shared by several factors is computed once.
+    The evaluation compares integers: with D the lcm of the coefficient
+    denominators, f * D must equal the sum of each (coeff * D) * g * h.
     """
     total = PluckerPoly(f.n)
     for coeff, g, h in terms:
         total = total + PluckerPoly.from_monomial(g * h, coeff)
     if straighten(total) != straighten(PluckerPoly.from_monomial(f)):
         return False
+    scale = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
+    scaled = [(coeff.numerator * (scale // coeff.denominator), g, h) for coeff, g, h in terms]
     for matrix in seeded_matrices(f.n, f.n, count, seed):
         minors = MinorTable(matrix)
-        lhs = minors.monomial(f)
-        rhs = sum(
-            (coeff * minors.monomial(g) * minors.monomial(h) for coeff, g, h in terms),
-            Fraction(0),
-        )
-        if lhs != rhs:
+        rhs = sum(c * minors.monomial(g) * minors.monomial(h) for c, g, h in scaled)
+        if minors.monomial(f) * scale != rhs:
             return False
     return True

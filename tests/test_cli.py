@@ -3,12 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import artifact
 import artifact.cli as cli
 from artifact.cli import main
 
@@ -446,3 +452,25 @@ _ARGV = st.one_of(
 def test_exit_code_contract_on_random_argv(argv):
     code, _, _ = outcome(argv)
     assert code in (0, 1, 2, ("SystemExit", 2)), argv
+
+
+NO_NUMPY = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    import artifact.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [artifact.cli.main(["enumerate", "g24", "--count-only"]),
+                 artifact.cli.main(["verify", "g36", "-k", "2", "-d", "1"])]
+    print(codes, "numpy" in sys.modules)
+    """
+)
+
+
+def test_cli_never_imports_numpy():
+    # the mod-p rank screen is pure Python, so no process pays numpy's import
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[0, 1] False\n"

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from artifact import linalg
-from artifact.linalg import RankTracker, _echelon, _rank_exact, exact_rank, solve_rational
+from artifact.linalg import MOD_PRIME, RankTracker, _echelon, _rank_exact, exact_rank, solve_rational
 from oracles import rank_fraction, solve_gauss_jordan
 
 
-def low_rank(rng, height, width, rank, zero_rows=0, zero_cols=0):
+def low_rank(rng, height, width, rank, zero_rows=0, zero_cols=0, span=3):
     """A random integer matrix of rank at most ``rank``, padded with zero lines."""
-    a = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(height)]
-    b = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rank)]
+    a = [[rng.randint(-span, span) for _ in range(rank)] for _ in range(height)]
+    b = [[rng.randint(-span, span) for _ in range(width)] for _ in range(rank)]
     rows = [[sum(a[i][k] * b[k][j] for k in range(rank)) for j in range(width)] for i in range(height)]
     for _ in range(zero_cols):
         at = rng.randint(0, width)
@@ -69,6 +69,33 @@ class TestRank:
         full.add([0, 1])
         assert full.exact() == 2
         assert len(calls) == 1
+
+
+class TestRankTracker:
+    # entry ranges: small, straddling the prime, and far beyond it
+    SPANS = (3, MOD_PRIME + 5, 10**30)
+
+    def test_matches_the_exact_rank(self):
+        rng = random.Random(11)
+        entries = set()
+        for trial in range(300):
+            height, width = rng.randint(1, 7), rng.randint(1, 7)
+            rank = rng.randint(0, min(height, width))
+            rows = low_rank(rng, height, width, rank, span=self.SPANS[trial % len(self.SPANS)])
+            entries.update(v for row in rows for v in row)
+            tracker = RankTracker(width)
+            grew = [tracker.add(row) for row in rows]
+            expected = _rank_exact(rows)
+            assert tracker.rank_lower_bound == sum(grew) == expected, rows
+            assert tracker.exact() == expected, rows
+        assert min(entries) < 0 and max(entries) >= MOD_PRIME
+
+    def test_singular_mod_p_is_recounted(self):
+        tracker = RankTracker(2)
+        assert tracker.add([MOD_PRIME, 0]) is False
+        assert tracker.add([0, 1]) is True
+        assert tracker.rank_lower_bound == 1
+        assert tracker.exact() == 2
 
 
 class TestEchelon:

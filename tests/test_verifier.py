@@ -307,6 +307,19 @@ class TestValidateCertificate:
         assert validate_certificate(flag, unit * q, [(Fraction(1), unit, q)])
         assert not validate_certificate(flag, unit * q, [(Fraction(1), unit, q_other)])
 
+    def test_fractional_coefficients_are_scaled(self, monkeypatch):
+        # f = u * q split as 1/2 + 1/3 + 1/6 of itself: the evaluation
+        # multiplies through by the lcm 6 and must still compare exactly
+        flag = instance_by_label("fl511")
+        unit = basis_monomials(flag, 1)[3]
+        q = basis_monomials(flag, 2)[5]
+        cert = [(Fraction(1, d), unit, q) for d in (2, 3, 6)]
+        assert validate_certificate(flag, unit * q, cert)
+        monkeypatch.setattr(verifier, "straighten", lambda p: 0)
+        assert validate_certificate(flag, unit * q, cert)
+        for bad in (cert[:2], [(Fraction(1, 2), unit, q)] * 2 + cert[1:2], [(Fraction(7, 6), unit, q)]):
+            assert not validate_certificate(flag, unit * q, bad)
+
     def test_dropped_term_is_caught(self):
         inst = instance_by_label("g25")
         f = basis_monomials(inst, 2)[6]
