@@ -38,7 +38,7 @@ from .formats import (
 from .graphs import graph_from_monomial, to_dot
 from .plucker import straighten
 from .tableau_a import count_standard, enumerate_standard
-from .tableau_b import enumerate_standard_b
+from .tableau_b import count_standard_b, enumerate_standard_b
 from .verifier import (
     FactorCertificate,
     check_duality,
@@ -143,11 +143,11 @@ def _cmd_enumerate(args) -> int:
             print(count_standard(shape, instance.n, "uniform"))
             return 0
         tableaux = list(enumerate_standard(shape, instance.n, "uniform"))
+    elif args.count_only:
+        print(count_standard_b(instance, args.degree, zero_weight=True))
+        return 0
     else:
         tableaux = list(enumerate_standard_b(instance, args.degree, zero_weight=True))
-    if args.count_only:
-        print(len(tableaux))
-        return 0
     if args.format == "json":
         payload = {
             "instance": label,

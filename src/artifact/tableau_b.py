@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from itertools import accumulate, combinations
+from operator import add, le
+from typing import Iterator, Sequence
 
 from .tableau_a import check_rows, first_violation, row_content
 from .weights import FAMILY_B, GroupInstance, ShapeB, shape_from_weight
@@ -27,9 +29,7 @@ def s_op(i: int, row: tuple[int, ...], n: int) -> tuple[int, ...]:
     if not 1 <= i <= n:
         raise ValueError(f"operation index {i} outside 1..{n}")
     if i == n:
-        if n + 1 in row:
-            return tuple(sorted(n if e == n + 1 else e for e in row))
-        return row
+        return tuple(sorted(n if e == n + 1 else e for e in row)) if n + 1 in row else row
     hi = 2 * n + 1 - i
     if i + 1 in row and hi in row:
         replaced = [i if e == i + 1 else (hi - 1 if e == hi else e) for e in row]
@@ -39,8 +39,7 @@ def s_op(i: int, row: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reachable(start: tuple[int, ...], n: int) -> frozenset[tuple[int, ...]]:
-    # Every s_i strictly lowers the entry multiset when it acts, so this
-    # closure is finite and small.
+    # each s_i that acts lowers the entry multiset, so the closure is small
     seen = {start}
     frontier = [start]
     while frontier:
@@ -63,9 +62,7 @@ def is_admissible(r: tuple[int, ...], r2: tuple[int, ...], n: int) -> bool:
     r, r2 = tuple(r), tuple(r2)
     if len(r) != len(r2):
         raise ValueError("admissibility compares rows of equal length")
-    if r == r2:
-        return True
-    return r in _reachable(r2, n)
+    return r == r2 or r in _reachable(r2, n)
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,6 @@ class TableauB:
                 if top + 1 - e in row:
                     raise ValueError(f"row {row} holds both {e} and {top + 1 - e}")
 
-    @property
-    def boxes(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def content(self) -> tuple[int, ...]:
         return row_content(self.rows, 2 * self.n)
 
@@ -106,10 +99,8 @@ class TableauB:
         return first_violation(self.rows) is None
 
     def paired(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return [
-            (self.rows[2 * i], self.rows[2 * i + 1])
-            for i in range(self.paired_prefix)
-        ]
+        end = 2 * self.paired_prefix
+        return list(zip(self.rows[0:end:2], self.rows[1:end:2]))
 
     def is_admissible_tableau(self) -> bool:
         return all(is_admissible(a, b, self.n) for a, b in self.paired())
@@ -117,8 +108,7 @@ class TableauB:
 
 def half_weight(t: TableauB) -> tuple[int, ...]:
     """Twice the weight of a type-B tableau: c_j - c_{2n+1-j} for j = 1..n."""
-    c = t.content()
-    top = 2 * t.n
+    c, top = t.content(), 2 * t.n
     return tuple(c[j] - c[top - 1 - j] for j in range(t.n))
 
 
@@ -127,57 +117,59 @@ def is_t_invariant_b(t: TableauB) -> bool:
     return not any(half_weight(t))
 
 
-def _row_candidates(n: int, length: int) -> list[tuple[int, ...]]:
-    """All valid rows of one length: strictly increasing, no opposite pair."""
+@lru_cache(maxsize=None)
+def _row_candidates(n: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """All valid rows of one length in lexicographic order: no opposite pair."""
     top = 2 * n
-    out: list[tuple[int, ...]] = []
+    return tuple(row for row in combinations(range(1, top + 1), length)
+                 if not any(top + 1 - e in row for e in row))
 
-    def build(prefix: list[int], nxt: int) -> None:
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        for e in range(nxt, top + 1):
-            if top + 1 - e in prefix:
-                continue
-            prefix.append(e)
-            build(prefix, e + 1)
-            prefix.pop()
 
-    build([], 1)
-    return out
+@lru_cache(maxsize=None)
+def _weight_caps(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per first entry f, (lo, hi): each w_j within ±r, and 0 where it needs an entry below f."""
+    return tuple((((0,) * (f - 1) + (-r,) * n)[:n], ((r,) * (2 * n + 1 - f) + (0,) * n)[:n])
+                 for f in range(2 * n + 1))
 
 
 class _SearchB:
-    """State of one `enumerate_standard_b` call: the rows placed so far.
+    """State of one type-B search: the rows placed so far and a memo.
 
     `above[(length, prev, paired)]` lists, in pool order, the candidate
     rows of a length that dominate `prev` entrywise and, for the second
     row of a pair, are admissible under `prev`; so each row is filtered
-    once per call, not once per search node.  `counts` tallies the
-    placed entries; the imbalance, the sum over opposite pairs of
-    |c_t - c_opp|, is carried along the search and updated from the
-    entries of each row placed.
+    once per call, not once per search node.  The search carries the
+    weight w, w_j = c_j - c_{2n+1-j} (every row weighs zero without
+    `zero_weight`), and keeps a row only while w can still reach zero:
+    sum |w_j| fits in the boxes left, each |w_j| in the rows left (a row
+    never holds both j and 2n+1-j), and no w_j needs an entry below the
+    row's first, which every later row dominates.  A state (row index,
+    row, w) fixes all that follows, so `memo` keeps how many tableaux a
+    searched state completes to (when listing, only the zeros): a state
+    that completes to none is not searched again.
     """
 
-    __slots__ = ("n", "lengths", "paired", "spin", "zero_weight", "total",
-                 "pools", "above", "counts", "rows")
+    __slots__ = ("n", "lengths", "paired", "spin", "above", "memo", "rows", "delta", "left", "caps")
 
-    def __init__(self, n: int, shape: ShapeB, zero_weight: bool):
-        self.n = n
+    def __init__(self, instance: GroupInstance, degree: int, zero_weight: bool):
+        shape = shape_from_weight(instance, degree) if instance.family == FAMILY_B else None
+        if not isinstance(shape, ShapeB):
+            raise ValueError("type-B enumeration needs a type-B instance")
+        n = self.n = instance.n
         self.lengths = shape.row_lengths()
-        self.paired = shape.paired_rows
-        self.spin = shape.spin_part
-        self.zero_weight = zero_weight
-        self.total = sum(self.lengths)
-        self.pools = {ell: _row_candidates(n, ell) for ell in set(self.lengths)}
-        self.above: dict = {}
-        self.counts = [0] * (2 * n)
-        self.rows: list[tuple[int, ...]] = []
+        self.paired, self.spin = shape.paired_rows, shape.spin_part
+        self.above, self.memo, self.rows = {}, {}, []
+        top, rng = 2 * n, range(1, n + 1)
+        self.delta = {row: tuple(zero_weight * ((j in row) - (top + 1 - j in row)) for j in rng)
+                      for ell in set(self.lengths) for row in _row_candidates(n, ell)}
+        total = sum(self.lengths)
+        self.left = [total - used for used in accumulate(self.lengths)]
+        self.caps = [_weight_caps(n, r) for r in reversed(range(len(self.lengths)))]
 
-    def candidates(self, idx: int) -> list[tuple[int, ...]]:
+    def candidates(self, idx: int) -> Sequence[tuple[int, ...]]:
         length = self.lengths[idx]
         if not idx:
-            return self.pools[length]
+            return _row_candidates(self.n, length)
         prev = self.rows[idx - 1]
         pair_row = idx % 2 == 1 and idx // 2 < self.paired
         key = (length, prev, pair_row)
@@ -186,31 +178,43 @@ class _SearchB:
             if pair_row and len(prev) != length:
                 raise ValueError("paired rows of unequal length")
             hit = self.above[key] = [
-                cand for cand in self.pools[length]
+                cand for cand in _row_candidates(self.n, length)
                 if all(c >= p for c, p in zip(cand, prev))
                 and (not pair_row or is_admissible(prev, cand, self.n))
             ]
         return hit
 
-    def place(self, idx: int, used: int, imbalance: int) -> Iterator[TableauB]:
-        if idx == len(self.lengths):
-            yield TableauB(self.n, tuple(self.rows), self.paired, self.spin)
-            return
-        length = self.lengths[idx]
-        counts, rows = self.counts, self.rows
-        top = 2 * self.n
-        remaining = self.total - used - length
+    def steps(self, idx: int, w: tuple[int, ...]) -> Iterator[tuple]:
+        """Place each row that may come at `idx` in turn; yield its state."""
+        rows = self.rows
+        left, caps, delta = self.left[idx], self.caps[idx], self.delta
         for cand in self.candidates(idx):
-            after = imbalance
-            for e in cand:
-                after += 1 if counts[e - 1] >= counts[top - e] else -1
-                counts[e - 1] += 1
-            if not self.zero_weight or after <= remaining:
+            after = tuple(map(add, w, delta[cand]))
+            lo, hi = caps[cand[0]]
+            if (sum(map(abs, after)) <= left and all(map(le, lo, after))
+                    and all(map(le, after, hi))):
                 rows.append(cand)
-                yield from self.place(idx + 1, used + length, after)
+                yield idx, cand, after
                 rows.pop()
-            for e in cand:
-                counts[e - 1] -= 1
+
+    def place(self, idx: int, w: tuple[int, ...], listing: bool) -> Iterator[int]:
+        """Return how many tableaux complete a state; when `listing`, yield 1
+        at each with its rows in `rows`, else yield each known count at once.
+        """
+        if idx == len(self.lengths):
+            yield 1
+            return 1
+        total, memo = 0, self.memo
+        for state in self.steps(idx, w):
+            got = memo.get(state)
+            if got is None:
+                got = yield from self.place(idx + 1, state[2], listing)
+                if not (listing and got):
+                    memo[state] = got
+            elif got:
+                yield got
+            total += got
+        return total
 
 
 def enumerate_standard_b(
@@ -221,20 +225,16 @@ def enumerate_standard_b(
     Rows are produced top to bottom, each ranging over the lexicographic
     candidates that dominate the previous row entrywise, with the
     admissibility check applied as soon as a paired row completes.  With
-    `zero_weight`, a row is kept only while the imbalance it leaves can
-    still be evened out by the boxes that remain, so the last row admits
-    exactly the torus-invariant tableaux.
+    `zero_weight`, a row is kept only while the weight it leaves can still
+    be evened out by the rows below it (see `_SearchB`), so the last row
+    admits exactly the torus-invariant tableaux.
     """
-    if instance.family != FAMILY_B:
-        raise ValueError("type-B enumeration needs a type-B instance")
-    shape = shape_from_weight(instance, degree)
-    if not isinstance(shape, ShapeB):
-        raise AssertionError("a type-B instance has a spin shape")
-    if not shape.row_lengths():
-        yield TableauB(instance.n, (), 0, 0)
-        return
-    yield from _SearchB(instance.n, shape, zero_weight).place(0, 0, 0)
+    search = _SearchB(instance, degree, zero_weight)
+    for _ in search.place(0, (0,) * search.n, True):
+        yield TableauB(search.n, tuple(search.rows), search.paired, search.spin)
 
 
 def count_standard_b(instance: GroupInstance, degree: int, *, zero_weight=False) -> int:
-    return sum(1 for _ in enumerate_standard_b(instance, degree, zero_weight=zero_weight))
+    """How many tableaux `enumerate_standard_b` yields, building none of them."""
+    search = _SearchB(instance, degree, zero_weight)
+    return sum(search.place(0, (0,) * search.n, False))

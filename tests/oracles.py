@@ -241,6 +241,71 @@ def enumerate_standard_b_pool(
             yield t
 
 
+def enumerate_standard_b_imbalance(
+    instance: GroupInstance, degree: int, *, zero_weight: bool = False
+) -> Iterator[TableauB]:
+    """Type-B search pruning on the scalar imbalance alone (reference).
+
+    The package's search before its per-coordinate weight prune: each
+    row's candidates are looked up in a table built once per call, and
+    the imbalance, the sum over opposite pairs of |c_t - c_opp|, is
+    carried along and updated from the entries of each row placed.  With
+    `zero_weight` a row is kept while the imbalance fits in the boxes
+    left, so the last row admits exactly the torus-invariant tableaux.
+    """
+    if instance.family != FAMILY_B:
+        raise ValueError("type-B enumeration needs a type-B instance")
+    shape = shape_from_weight(instance, degree)
+    assert isinstance(shape, ShapeB)
+    lengths = shape.row_lengths()
+    if not lengths:
+        yield TableauB(instance.n, (), 0, 0)
+        return
+    n = instance.n
+    top = 2 * n
+    total = sum(lengths)
+    above: dict = {}
+    counts = [0] * top
+    rows: list[tuple[int, ...]] = []
+
+    def candidates(idx: int) -> list[tuple[int, ...]]:
+        length = lengths[idx]
+        if not idx:
+            return _row_candidates(n, length)
+        prev = rows[idx - 1]
+        pair_row = idx % 2 == 1 and idx // 2 < shape.paired_rows
+        key = (length, prev, pair_row)
+        if key not in above:
+            if pair_row and len(prev) != length:
+                raise ValueError("paired rows of unequal length")
+            above[key] = [
+                cand for cand in _row_candidates(n, length)
+                if all(c >= p for c, p in zip(cand, prev))
+                and (not pair_row or is_admissible(prev, cand, n))
+            ]
+        return above[key]
+
+    def place(idx: int, used: int, imbalance: int) -> Iterator[TableauB]:
+        if idx == len(lengths):
+            yield TableauB(n, tuple(rows), shape.paired_rows, shape.spin_part)
+            return
+        length = lengths[idx]
+        remaining = total - used - length
+        for cand in candidates(idx):
+            after = imbalance
+            for e in cand:
+                after += 1 if counts[e - 1] >= counts[top - e] else -1
+                counts[e - 1] += 1
+            if not zero_weight or after <= remaining:
+                rows.append(cand)
+                yield from place(idx + 1, used + length, after)
+                rows.pop()
+            for e in cand:
+                counts[e - 1] -= 1
+
+    yield from place(0, 0, 0)
+
+
 def two_regular_on(support: tuple[int, ...]):
     """Every edge multiset on the support with all degrees exactly 2.
 

@@ -43,6 +43,16 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "g37", "-k", "3", "--count-only")
         assert (code, out, err) == (0, "32425\n", "")
 
+    def test_type_b_count_only_builds_no_tableau(self, capsys, monkeypatch):
+        import artifact.tableau_b as tableau_b
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("--count-only built a tableau")
+
+        monkeypatch.setattr(tableau_b, "TableauB", refuse)
+        code, out, err = run(capsys, "enumerate", "spin7w2", "-k", "4", "--count-only")
+        assert (code, out, err) == (0, "225\n", "")
+
     def test_instance_flag_matches_positional(self, capsys):
         code_a, out_a, _ = run(capsys, "enumerate", "g24", "-k", "2")
         code_b, out_b, _ = run(capsys, "enumerate", "--instance", "g24", "-k", "2")

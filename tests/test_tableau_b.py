@@ -13,7 +13,13 @@ from artifact.tableau_b import (
 )
 from artifact.weights import instance_by_label
 
-from oracles import enumerate_standard_b_pool, naive_standard_b
+from oracles import (
+    enumerate_standard_b_imbalance,
+    enumerate_standard_b_pool,
+    naive_standard_b,
+)
+
+SPIN57 = ["spin5w1", "spin5w2", "spin7w1", "spin7w2", "spin7w3"]
 
 
 class TestRowOperations:
@@ -136,13 +142,16 @@ class TestEnumeration:
             ("spin5w2", [2, 3, 4, 5]),
             ("spin7w1", [3, 6, 10, 15]),
             ("spin7w2", [8, 33, 96, 225]),
-            ("spin7w3", [8, 29, 72]),
+            ("spin7w3", [8, 29, 72, 145]),
+            ("spin9w4", [28, 281, 1520]),
         ],
     )
     def test_frozen_invariant_counts(self, label, counts):
         inst = instance_by_label(label)
         for k, expected in enumerate(counts, start=1):
             assert count_standard_b(inst, k, zero_weight=True) == expected
+            listed = enumerate_standard_b(inst, k, zero_weight=True)
+            assert sum(1 for _ in listed) == expected
 
     @pytest.mark.parametrize(
         "label, degree",
@@ -178,9 +187,11 @@ class TestEnumeration:
             seen.add(t.rows)
 
     def test_weight_filter_is_optional(self):
-        inst = instance_by_label("spin5w1")
-        full = count_standard_b(inst, 1)
-        assert full > count_standard_b(inst, 1, zero_weight=True)
+        for label, degree in [("spin5w1", 1), ("spin7w2", 2)]:
+            inst = instance_by_label(label)
+            full = count_standard_b(inst, degree)
+            assert full == sum(1 for _ in enumerate_standard_b(inst, degree))
+            assert full > count_standard_b(inst, degree, zero_weight=True)
 
     def test_type_a_instance_rejected(self):
         with pytest.raises(ValueError, match="type-B"):
@@ -195,9 +206,10 @@ class TestEnumeration:
         ]
         assert len(unequal) == 2
 
-    @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize(
-        "label", ["spin5w1", "spin5w2", "spin7w1", "spin7w2", "spin7w3"]
+        "label, degree",
+        [(label, degree) for label in SPIN57 for degree in [1, 2, 3]]
+        + [("spin7w2", 4), ("spin7w3", 4), ("spin9w2", 2), ("spin9w4", 2)],
     )
     def test_same_stream_as_the_whole_pool_filter(self, label, degree):
         inst = instance_by_label(label)
@@ -206,3 +218,30 @@ class TestEnumeration:
             assert got == list(
                 enumerate_standard_b_pool(inst, degree, zero_weight=zero_weight)
             )
+
+    @pytest.mark.parametrize(
+        "label, degree, zero_weight",
+        [(label, degree, True) for label in SPIN57 for degree in [1, 2, 3, 4]]
+        + [(label, degree, False) for label in SPIN57 for degree in [1, 2]]
+        + [("spin9w2", 2, True), ("spin9w4", 2, True)],
+    )
+    def test_same_stream_as_the_imbalance_search(self, label, degree, zero_weight):
+        inst = instance_by_label(label)
+        got = list(enumerate_standard_b(inst, degree, zero_weight=zero_weight))
+        assert got == list(
+            enumerate_standard_b_imbalance(inst, degree, zero_weight=zero_weight)
+        )
+
+    def test_dead_states_stay_inside_one_call(self):
+        inst = instance_by_label("spin7w3")
+        want = list(enumerate_standard_b_imbalance(inst, 2, zero_weight=True))
+        assert list(enumerate_standard_b(inst, 2, zero_weight=True)) == want
+        assert list(enumerate_standard_b(inst, 2, zero_weight=True)) == want
+        # a zero-weight call's dead states would prune the unweighted one
+        unweighted = list(enumerate_standard_b_imbalance(inst, 2))
+        assert list(enumerate_standard_b(inst, 2)) == unweighted
+        # two live searches taken in turns do not share a memo
+        first = enumerate_standard_b(inst, 2, zero_weight=True)
+        second = enumerate_standard_b(inst, 2, zero_weight=True)
+        pairs = list(zip(first, second))
+        assert [a for a, _ in pairs] == [b for _, b in pairs] == want
