@@ -63,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (default: table)",
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for evaluation matrices"
-    )
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="invariant-theory workbench: bases, straightening, certificates",
@@ -100,6 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--emit-dot",
         metavar="PATH",
         help="also write the monomial's multigraph in DOT form",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed for evaluation matrices"
     )
 
     p = sub.add_parser(
@@ -143,24 +143,26 @@ def _cmd_enumerate(args) -> int:
             print(count_standard(shape, instance.n, "uniform"))
             return 0
         tableaux = list(enumerate_standard(shape, instance.n, "uniform"))
+        rows = tableaux  # a type-A tableau is its row tuple
     elif args.count_only:
         print(count_standard_b(instance, args.degree, zero_weight=True))
         return 0
     else:
         tableaux = list(enumerate_standard_b(instance, args.degree, zero_weight=True))
+        rows = [t.rows for t in tableaux]
     if args.format == "json":
         payload = {
             "instance": label,
             "degree": args.degree,
             "count": len(tableaux),
-            "tableaux": [[list(row) for row in t.rows] for t in tableaux],
+            "tableaux": [[list(row) for row in r] for r in rows],
         }
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print("index,rows")
-        for i, t in enumerate(tableaux):
-            rows = "|".join(",".join(map(str, row)) for row in t.rows)
-            print(f'{i},"{rows}"')
+        for i, r in enumerate(rows):
+            cells = "|".join(",".join(map(str, row)) for row in r)
+            print(f'{i},"{cells}"')
     else:
         print(f"# instance: {label}, degree: {args.degree}, count: {len(tableaux)}")
         for t in tableaux:

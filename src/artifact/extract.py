@@ -33,13 +33,11 @@ from .graphs import (
     two_factorize,
 )
 from .plucker import PluckerMonomial, PluckerPoly, straighten
-from .tableau_a import TableauA, content_vector
-from .verifier import basis_monomials, factor_by_linear_algebra
+from .tableau_a import content_vector, row_content
+from .verifier import CertTermList, basis_monomials, factor_by_linear_algebra
 from .weights import FAMILY_A, GroupInstance, shape_from_weight
 
 logger = logging.getLogger(__name__)
-
-CertTermList = list[tuple[Fraction, PluckerMonomial, PluckerMonomial]]
 
 
 class ExtractionStuck(RuntimeError):
@@ -541,10 +539,10 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
     if k < 2:
         raise ValueError("degree must be at least 2")
     expected = shape_from_weight(instance, k)
-    tab = TableauA(n, f.factors)
-    if tab.shape_columns() != tuple(expected.column_lengths):
+    # f's rows are canonical, so they run longest first like the shape's
+    if tuple(map(len, f.factors)) != expected.row_lengths():
         raise ValueError("monomial shape does not match the scaled weight")
-    if not tab.is_t_invariant():
+    if len(set(row_content(f.factors, n))) > 1:
         raise ValueError("monomial is not torus-invariant")
     unit = dividing_unit(instance, f)
     if unit is not None:

@@ -13,9 +13,8 @@ import json
 import re
 from fractions import Fraction
 
-from .graphs import LoopedMultigraph
 from .plucker import PluckerMonomial, PluckerPoly
-from .tableau_a import TableauA
+from .tableau_a import Factors
 from .tableau_b import TableauB
 from .verifier import FactorCertificate, GenerationReport
 
@@ -93,42 +92,16 @@ def parse_monomial(text: str, n: int) -> PluckerMonomial:
     return items[0][0]
 
 
-def tableau_text(t: TableauA | TableauB) -> str:
-    """Rows as comma-separated lines; type B carries a header line."""
-    lines = []
+def tableau_text(t: Factors | TableauB) -> str:
+    """Rows as comma-separated lines; type B carries a header line.
+
+    A type-A tableau is given as its row tuple.
+    """
     if isinstance(t, TableauB):
-        lines.append(f"type: B, n: {t.n}")
-    for row in t.rows:
-        lines.append(",".join(map(str, row)))
-    return "\n".join(lines)
-
-
-_B_HEADER = re.compile(r"^type:\s*B\s*,\s*n:\s*(\d+)$")
-
-
-def parse_tableau_rows(text: str) -> tuple[str, int | None, list[tuple[int, ...]]]:
-    """Rows from text form; returns (family, type-B rank or None, rows)."""
-    family = "A"
-    rank = None
-    rows: list[tuple[int, ...]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        header = _B_HEADER.match(line)
-        if header:
-            family, rank = "B", int(header.group(1))
-            continue
-        rows.append(tuple(int(x) for x in line.split(",")))
-    return family, rank, rows
-
-
-def graph_json(g: LoopedMultigraph) -> dict:
-    return {"n": g.n, "edges": [[a, b] for a, b in g.edges]}
-
-
-def graph_from_json(data: dict) -> LoopedMultigraph:
-    return LoopedMultigraph(int(data["n"]), [tuple(e) for e in data["edges"]])
+        header, rows = [f"type: B, n: {t.n}"], t.rows
+    else:
+        header, rows = [], t
+    return "\n".join(header + [",".join(map(str, row)) for row in rows])
 
 
 def certificate_json(cert: FactorCertificate, verified: bool | None = None) -> dict:

@@ -18,9 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .linalg import int_det
-from .tableau_a import TableauA, canonical_rows, check_rows, divide_rows, first_violation
-
-Factors = tuple[tuple[int, ...], ...]
+from .tableau_a import Factors, canonical_rows, check_rows, divide_rows, first_violation
 
 
 @dataclass(frozen=True)
@@ -321,10 +319,3 @@ def seeded_matrices(n: int, width: int, count: int = 10, seed: int = 0) -> list[
     rows = [entries[i * width : (i + 1) * width] for i in range(count * n)]
     return [rows[i * n : (i + 1) * n] for i in range(count)]
 
-
-def monomial_from_tableau(t: TableauA) -> PluckerMonomial:
-    return PluckerMonomial(t.n, t.rows)
-
-
-def tableau_from_monomial(m: PluckerMonomial) -> TableauA:
-    return TableauA(m.n, canonical_rows(m.factors))

@@ -1,11 +1,15 @@
-"""Type-A Young tableaux with strictly increasing rows.
+"""Type-A standard tableaux as canonical row tuples, and the row rules.
 
-This module owns the row format that type-A tableaux, Plücker monomials
-and type-B tableaux share: the canonical arrangement (rows sorted by
-length descending, then lexicographically), the row checks, the column
-test and the division of row multisets.  Standardness is decided on the
-canonical arrangement so that "some arrangement is standard" becomes a
-single deterministic test.
+A type-A tableau is a multiset of strictly increasing rows over 1..n,
+held as a plain tuple of rows (`Factors`) in the canonical arrangement:
+rows sorted by length descending, then lexicographically.  That is also
+the factor tuple of a Plücker monomial, so a zero-weight standard
+tableau *is* a standard monomial and `plucker.PluckerMonomial` is the
+only class that wraps one.  This module owns the row rules that those
+monomials and type-B tableaux share: the canonical arrangement, the row
+checks, the column test and the division of row multisets.
+Standardness is decided on the canonical arrangement so that "some
+arrangement is standard" becomes a single deterministic test.
 
 Read transposed, a standard tableau is a semistandard Young tableau
 (SSYT) whose rows are the columns here, so enumeration and counting work
@@ -14,20 +18,21 @@ horizontal strip of content[v] boxes.  A memoized table records, for
 each (v, partition), the strips that still complete the shape and how
 many completions each has.  `count_standard` reads the Kostka number off
 that table without building a tableau; `enumerate_standard` walks only
-strips that complete and yields tableaux in lexicographic order of their
-rows.
+strips that complete and yields the row tuples, canonical and standard
+by construction, in lexicographic order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge, gt
 from typing import Iterator
 
 from .weights import ShapeA
 
+Factors = tuple[tuple[int, ...], ...]
 
-def canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
+
+def canonical_rows(rows) -> Factors:
     """Sort rows into the canonical arrangement: longer first, then lex."""
     # the length sort is stable, so rows of one length keep their lex order
     return tuple(sorted(sorted(map(tuple, rows)), key=len, reverse=True))
@@ -67,7 +72,7 @@ def first_violation(rows) -> int | None:
     return None
 
 
-def rows_standard(rows: tuple[tuple[int, ...], ...]) -> bool:
+def rows_standard(rows: Factors) -> bool:
     """Column test on canonically arranged rows."""
     return first_violation(rows) is None
 
@@ -86,46 +91,6 @@ def divide_rows(rows: tuple, divisor: tuple) -> tuple | None:
         else:
             rest.append(row)
     return tuple(rest) if i == len(divisor) else None
-
-
-@dataclass(frozen=True)
-class TableauA:
-    """Rows of strictly increasing entries in 1..n, in any order."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        check_rows(rows, self.n)
-
-    def canonical(self) -> "TableauA":
-        return TableauA(self.n, canonical_rows(self.rows))
-
-    @property
-    def boxes(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def content(self) -> tuple[int, ...]:
-        """How often each of 1..n appears."""
-        return row_content(self.rows, self.n)
-
-    def is_t_invariant(self) -> bool:
-        """All entries appear equally often (the torus fixes the monomial)."""
-        c = self.content()
-        return all(x == c[0] for x in c)
-
-    def is_standard(self) -> bool:
-        return rows_standard(canonical_rows(self.rows))
-
-    def shape_columns(self) -> tuple[int, ...]:
-        rows = canonical_rows(self.rows)
-        if not rows:
-            return ()
-        return tuple(
-            sum(1 for r in rows if len(r) > j) for j in range(len(rows[0]))
-        )
 
 
 def content_vector(
@@ -232,8 +197,8 @@ def _strip_table(shape, n: int, content) -> tuple[tuple[int, ...], int, dict]:
 
 def enumerate_standard(
     shape: ShapeA | tuple[int, ...], n: int, content="uniform"
-) -> Iterator[TableauA]:
-    """Yield every standard tableau of the shape with the given content.
+) -> Iterator[Factors]:
+    """Yield the rows of every standard tableau of the shape and content.
 
     Read transposed, a standard tableau of column lengths `cols` is a
     semistandard tableau of row shape `cols`: the boxes holding entries
@@ -241,17 +206,19 @@ def enumerate_standard(
     many boxes as the content asks for.  The strip table counts, for
     every partition reached, the ways the remaining values complete it,
     so the walk follows only strips that complete and never dead-ends.
-    The fillings are then sorted, which yields the tableaux in
-    lexicographic order of their rows: the order of filling row by row,
-    top to bottom, smallest entry first.
+    Row i of a filling is as long as the number of columns longer than
+    i, and in a standard filling rows of one length ascend
+    lexicographically, so each filling is already in the canonical
+    arrangement.  The fillings are then sorted, which yields them in
+    lexicographic order: the order of filling row by row, top to bottom,
+    smallest entry first.
     """
     cols, total, table = _strip_table(shape, n, content)
-    out: list[tuple[tuple[int, ...], ...]] = []
+    out: list[Factors] = []
     if total:
         _walk(0, (0,) * len(cols), table, [[] for _ in range(cols[0] if cols else 0)], out)
     out.sort()
-    for rows in out:
-        yield TableauA(n, rows)
+    yield from out
 
 
 def count_standard(shape: ShapeA | tuple[int, ...], n: int, content="uniform") -> int:

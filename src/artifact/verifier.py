@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,6 @@ from .plucker import (
     MinorTable,
     PluckerMonomial,
     PluckerPoly,
-    monomial_from_tableau,
     seeded_matrices,
     straighten,
 )
@@ -67,9 +65,8 @@ class GenerationReport:
 
     ``rank`` counts what was actually reached: the span of products for
     type A, the number of successfully split basis elements for type B.
-    The verdict passes exactly when rank equals dim.  ``generators_used``
-    and ``elapsed`` are bookkeeping only and stay out of the serialized
-    report, which must be byte-stable across runs.
+    The verdict passes exactly when rank equals dim.  The serialized
+    report must be byte-stable across runs, so it holds no timings.
     """
 
     instance: str
@@ -80,8 +77,6 @@ class GenerationReport:
     verdict: str
     witnesses: list | None = None
     notes: list[str] = field(default_factory=list)
-    generators_used: list[tuple[int, int]] | None = None
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -141,8 +136,8 @@ def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomia
         return [PluckerMonomial(instance.n, ())]
     shape = shape_from_weight(instance, degree)
     return [
-        monomial_from_tableau(t)
-        for t in enumerate_standard(shape, instance.n, "uniform")
+        PluckerMonomial(instance.n, rows)
+        for rows in enumerate_standard(shape, instance.n, "uniform")
     ]
 
 
@@ -239,27 +234,21 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
     """
     if instance.family != FAMILY_A:
         raise ValueError("use check_typeB_factorization for type B")
-    start = time.perf_counter()
     label = _label(instance)
     dim = basis_size(instance, k)
     if k <= d:
         return GenerationReport(
             label, k, d, dim, dim, "pass",
             notes=["degree within generator bound"],
-            generators_used=[(k, dim)],
-            elapsed=time.perf_counter() - start,
         )
     if dim == 0:
         return GenerationReport(
             label, k, d, 0, 0, "pass",
             notes=["empty piece"],
-            generators_used=[],
-            elapsed=time.perf_counter() - start,
         )
     # the guard reads only counts, so an oversized problem is refused
     # before any basis is enumerated
     sizes = {j: basis_size(instance, j) for j in range(1, min(d, k - 1) + 1)}
-    used = sorted(sizes.items())
     schedule = _partitions(k, min(d, k - 1))
     est = 0
     for parts in schedule:
@@ -274,18 +263,14 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
         )
     basis_k = basis_monomials(instance, k)
     lower = {j: basis_monomials(instance, j) for j in sizes}
-    if len(basis_k) != dim or any(len(lower[j]) != c for j, c in used):
+    if len(basis_k) != dim or any(len(lower[j]) != c for j, c in sizes.items()):
         raise AssertionError("a basis enumeration disagrees with its count")
     residue = [m.factors for m in split_residue(basis_k, k, lower)]
     if residue:
         rank = dim - len(residue) + _residue_rank(instance.n, basis_k, residue, lower, schedule)
     else:
         rank = dim
-    return GenerationReport(
-        label, k, d, dim, rank, "pass" if rank == dim else "fail",
-        generators_used=used,
-        elapsed=time.perf_counter() - start,
-    )
+    return GenerationReport(label, k, d, dim, rank, "pass" if rank == dim else "fail")
 
 
 def _residue_rank(
@@ -348,9 +333,7 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
     """
     if instance.family != FAMILY_B:
         raise ValueError("type-B factorization needs a type-B instance")
-    start = time.perf_counter()
     label = _label(instance)
-    unit_boxes = shape_from_weight(instance, 1).boxes
     basis = list(enumerate_standard_b(instance, k, zero_weight=True))
     split = unit_splitter({
         j: [_b_units(t) for t in enumerate_standard_b(instance, j, zero_weight=True)]
@@ -358,7 +341,6 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
     })
     witnesses: list[dict] = []
     ok = 0
-    piece_degrees: Counter = Counter()
     for tab in basis:
         units = _b_units(tab)
         parts = [units] if k <= d else split(units, k)
@@ -366,14 +348,10 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
         if parts is not None:
             ok += 1
             entry["parts"] = [[list(r) for unit in part for r in unit] for part in parts]
-            for rows in entry["parts"]:
-                piece_degrees[sum(map(len, rows)) // unit_boxes] += 1
         witnesses.append(entry)
     return GenerationReport(
         label, k, d, len(basis), ok, "pass" if ok == len(basis) else "fail",
         witnesses=witnesses,
-        generators_used=sorted(piece_degrees.items()),
-        elapsed=time.perf_counter() - start,
     )
 
 

@@ -17,7 +17,7 @@ from typing import Iterator
 from artifact.extract import degree_one_basis
 from artifact.linalg import exact_rank
 from artifact.plucker import PluckerMonomial, straighten
-from artifact.tableau_a import TableauA, content_vector
+from artifact.tableau_a import Factors, content_vector
 from artifact.tableau_b import (
     TableauB,
     _row_candidates,
@@ -78,7 +78,7 @@ def naive_standard_tableaux(
 
 def enumerate_standard_rowwise(
     shape: ShapeA | tuple[int, ...], n: int, content="uniform"
-) -> Iterator[TableauA]:
+) -> Iterator[Factors]:
     """Row-by-row search for standard tableaux (reference for the strip walk).
 
     Rows are generated top to bottom in the canonical arrangement, each
@@ -91,7 +91,7 @@ def enumerate_standard_rowwise(
     cols = shape.column_lengths if isinstance(shape, ShapeA) else tuple(shape)
     if not cols:
         if content == "uniform" or sum(content) == 0:
-            yield TableauA(n, ())
+            yield ()
         else:
             raise ValueError("non-empty content for the empty shape")
         return
@@ -119,9 +119,9 @@ def enumerate_standard_rowwise(
             row.pop()
             counts[v - 1] += 1
 
-    def place(idx: int, prev: tuple[int, ...] | None) -> Iterator[TableauA]:
+    def place(idx: int, prev: tuple[int, ...] | None) -> Iterator[Factors]:
         if idx == total_rows:
-            yield TableauA(n, tuple(out))
+            yield tuple(out)
             return
         rows_left = total_rows - idx - 1
         for row in fill_row(lengths[idx], 0, [], prev):

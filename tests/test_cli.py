@@ -185,6 +185,11 @@ class TestFactorize:
         assert code == 0
         assert out.splitlines()[-1] == "verified: yes"
 
+    def test_seed_is_a_factorize_option_only(self):
+        code, out, err = outcome(["verify", "g24", "-k", "2", "--seed", "3"])
+        assert (code, out) == (("SystemExit", 2), "")
+        assert "unrecognized arguments: --seed 3" in err
+
     def test_ungenerated_monomial_is_a_clean_error(self, capsys):
         stuck = "p[1,2,3] p[1,4,5] p[2,4,6] p[3,5,6]"
         code, _, err = run(capsys, "factorize", "g36", stuck)

@@ -13,21 +13,16 @@ from artifact.formats import (
     duality_table,
     format_coeff,
     format_poly,
-    graph_from_json,
-    graph_json,
     load_manifest,
     parse_monomial,
     parse_poly,
-    parse_tableau_rows,
     reports_csv,
     reports_json_text,
     reports_table,
     tableau_text,
 )
-from artifact.graphs import LoopedMultigraph
 from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
-from artifact.tableau_a import TableauA
-from artifact.tableau_b import enumerate_standard_b
+from artifact.tableau_b import TableauB
 from artifact.verifier import (
     FactorCertificate,
     GenerationReport,
@@ -142,34 +137,12 @@ class TestParseMonomial:
 
 class TestTableauText:
     def test_type_a_rows(self):
-        t = TableauA(6, ((1, 2, 4), (1, 3, 5)))
-        assert tableau_text(t) == "1,2,4\n1,3,5"
-        family, rank, rows = parse_tableau_rows(tableau_text(t))
-        assert (family, rank) == ("A", None)
-        assert rows == [(1, 2, 4), (1, 3, 5)]
+        assert tableau_text(((1, 2, 4), (1, 3, 5))) == "1,2,4\n1,3,5"
+        assert tableau_text(()) == ""
 
-    def test_type_b_header_round_trip(self):
-        t = next(iter(enumerate_standard_b(instance_by_label("spin7w1"), 1)))
-        text = tableau_text(t)
-        assert text.splitlines()[0] == "type: B, n: 3"
-        family, rank, rows = parse_tableau_rows(text)
-        assert (family, rank) == ("B", 3)
-        assert tuple(rows) == t.rows
-
-    def test_comments_and_blank_lines_ignored(self):
-        family, rank, rows = parse_tableau_rows(
-            "# leading note\n\n1,2\n3,4  # trailing\n"
-        )
-        assert (family, rank) == ("A", None)
-        assert rows == [(1, 2), (3, 4)]
-
-
-class TestGraphJson:
-    def test_round_trip(self):
-        g = LoopedMultigraph(4, [(1, 2), (3, 3), (3, 4)])
-        data = graph_json(g)
-        assert data == {"n": 4, "edges": [[1, 2], [3, 3], [3, 4]]}
-        assert graph_from_json(json.loads(json.dumps(data))) == g
+    def test_type_b_header(self):
+        t = TableauB(3, ((1, 2), (1, 3), (4,)), paired_prefix=1, spin_rows=1)
+        assert tableau_text(t) == "type: B, n: 3\n1,2\n1,3\n4"
 
 
 class TestCertificateJson:

@@ -14,12 +14,11 @@ from artifact.plucker import (
     PluckerMonomial,
     PluckerPoly,
     eval_on_matrix,
-    monomial_from_tableau,
     seeded_matrices,
     straighten,
-    tableau_from_monomial,
 )
-from artifact.tableau_a import TableauA
+from artifact.tableau_a import enumerate_standard
+from artifact.weights import instance_by_label, shape_from_weight
 from oracles import (
     canonical_rows_keysort,
     counter_divides,
@@ -315,16 +314,20 @@ def test_flag_straighten_preserves_evaluation(data):
 
 
 class TestTableauBridge:
+    """A type-A tableau's rows are the factors of its monomial."""
+
     def test_round_trip(self):
-        t = TableauA(4, ((1, 2), (3, 4)))
-        assert tableau_from_monomial(monomial_from_tableau(t)).rows == t.rows
+        inst = instance_by_label("g36")
+        for rows in enumerate_standard(shape_from_weight(inst, 2), 6, "uniform"):
+            m = PluckerMonomial(6, rows)
+            assert m.factors == rows
+            assert m.is_standard
 
     def test_known_invariant(self):
-        t = TableauA(6, ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)))
-        m = monomial_from_tableau(t)
+        m = PluckerMonomial(6, ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)))
         assert str(m) == "p[1,2,4] p[1,3,5] p[2,3,6] p[4,5,6]"
 
     def test_empty_tableau_is_the_constant(self):
-        m = monomial_from_tableau(TableauA(4, ()))
+        m = PluckerMonomial(4, ())
         assert str(m) == "1"
         assert eval_on_matrix(m, [[1, 0], [0, 1], [0, 0], [0, 0]]) == 1

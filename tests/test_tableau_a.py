@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact.plucker import PluckerMonomial
 from artifact.tableau_a import (
-    TableauA,
     canonical_rows,
+    check_rows,
     content_vector,
     count_standard,
     divide_rows,
     enumerate_standard,
     first_violation,
+    row_content,
     rows_standard,
 )
 from artifact.weights import ShapeA, instance_by_label, shape_from_weight
@@ -31,41 +33,54 @@ from oracles import (
 
 
 class TestTableauBasics:
+    """A type-A tableau is its row tuple, wrapped as a PluckerMonomial."""
+
     def test_rows_are_validated(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            TableauA(4, ((1, 1),))
+            check_rows(((1, 1),), 4)
         with pytest.raises(ValueError, match="range"):
-            TableauA(4, ((1, 5),))
+            check_rows(((1, 5),), 4)
         with pytest.raises(ValueError, match="empty"):
-            TableauA(4, ((),))
+            check_rows(((),), 4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PluckerMonomial(4, ((2, 1),))
 
     def test_canonical_orders_rows_longest_first(self):
-        t = TableauA(5, ((3,), (1, 2), (1, 4))).canonical()
-        assert t.rows == ((1, 2), (1, 4), (3,))
+        m = PluckerMonomial(5, ((3,), (1, 2), (1, 4)))
+        assert m.factors == canonical_rows(((3,), (1, 2), (1, 4))) == ((1, 2), (1, 4), (3,))
 
     def test_content_counts_every_entry(self):
-        assert TableauA(4, ((1, 2), (3, 4))).content() == (1, 1, 1, 1)
-        assert TableauA(4, ((1, 2), (1, 2), (3, 4), (3, 4))).content() == (2, 2, 2, 2)
-        t = TableauA(6, ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)))
-        assert t.content() == (2, 2, 2, 2, 2, 2)
+        assert row_content(((1, 2), (3, 4)), 4) == (1, 1, 1, 1)
+        assert row_content(((1, 2), (1, 2), (3, 4), (3, 4)), 4) == (2, 2, 2, 2)
+        rows = ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6))
+        assert row_content(rows, 6) == (2, 2, 2, 2, 2, 2)
+        # an index that never appears counts zero
+        assert row_content(((1, 2), (1, 3)), 4) == (2, 1, 1, 0)
 
     def test_t_invariance_means_uniform_content(self):
-        assert TableauA(4, ((1, 2), (3, 4))).is_t_invariant()
-        assert not TableauA(4, ((1, 2), (1, 3))).is_t_invariant()
-        assert TableauA(6, ((1, 3, 5), (2, 4, 6))).is_t_invariant()
+        def invariant(rows, n):
+            return len(set(row_content(rows, n))) == 1
+
+        assert invariant(((1, 2), (3, 4)), 4)
+        assert not invariant(((1, 2), (1, 3)), 4)
+        assert invariant(((1, 3, 5), (2, 4, 6)), 6)
+        # the empty tableau is invariant
+        assert invariant((), 4)
 
     def test_standardness_on_the_canonical_arrangement(self):
-        assert TableauA(4, ((1, 2), (3, 4))).is_standard()
-        assert TableauA(4, ((1, 3), (2, 4))).is_standard()
+        assert rows_standard(((1, 2), (3, 4)))
+        assert rows_standard(((1, 3), (2, 4)))
         # second column reads 4 over 3
-        assert not TableauA(4, ((1, 4), (2, 3))).is_standard()
-        # the empty tableau is standard and invariant
-        assert TableauA(4, ()).is_standard()
-        assert TableauA(4, ()).is_t_invariant()
+        assert not rows_standard(((1, 4), (2, 3)))
+        assert not PluckerMonomial(4, ((2, 3), (1, 4))).is_standard
+        # the empty tableau is standard
+        assert rows_standard(())
+        assert PluckerMonomial(4, ()).is_standard
 
     def test_shape_columns(self):
-        t = TableauA(4, ((1, 2), (1, 3), (4,)))
-        assert t.shape_columns() == (3, 2)
+        m = PluckerMonomial(4, ((4,), (1, 3), (1, 2)))
+        assert tuple(map(len, m.factors)) == (2, 2, 1)
+        assert tuple(map(len, m.factors)) == ShapeA((3, 2)).row_lengths()
 
 
 @settings(max_examples=300)
@@ -76,8 +91,7 @@ def test_standardness_agrees_with_grid_oracle(data):
         itertools.combinations(range(1, n + 1), r) for r in (1, 2, 3)
     ))
     rows = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
-    t = TableauA(n, rows)
-    assert t.is_standard() == grid_standard(canonical_rows(rows))
+    assert PluckerMonomial(n, rows).is_standard == rows_standard(canonical_rows(rows)) == grid_standard(rows)
 
 
 def _row_multisets(n: int):
@@ -143,13 +157,11 @@ class TestContentVector:
 
 class TestEnumeration:
     def test_empty_shape_yields_the_empty_tableau(self):
-        out = list(enumerate_standard(ShapeA(()), 4))
-        assert len(out) == 1
-        assert out[0].rows == ()
+        assert list(enumerate_standard(ShapeA(()), 4)) == [()]
 
     def test_two_row_three_column_basis(self):
         shape = shape_from_weight(instance_by_label("g36"), 1)
-        out = [t.rows for t in enumerate_standard(shape, 6, "uniform")]
+        out = list(enumerate_standard(shape, 6, "uniform"))
         assert out == [
             ((1, 2, 3), (4, 5, 6)),
             ((1, 2, 4), (3, 5, 6)),
@@ -187,12 +199,12 @@ class TestEnumeration:
         ],
     )
     def test_matches_naive_filter_oracle(self, cols, n):
-        got = {t.rows for t in enumerate_standard(ShapeA(cols), n, "uniform")}
+        got = set(enumerate_standard(ShapeA(cols), n, "uniform"))
         assert got == naive_standard_tableaux(cols, n)
 
     def test_explicit_content_matches_oracle(self):
         cols, n, content = (2, 2), 4, (2, 1, 1, 0)
-        got = {t.rows for t in enumerate_standard(ShapeA(cols), n, content)}
+        got = set(enumerate_standard(ShapeA(cols), n, content))
         assert got == naive_standard_tableaux(cols, n, content)
 
     def test_content_total_must_match_boxes(self):
@@ -202,17 +214,18 @@ class TestEnumeration:
     def test_no_duplicates_and_every_output_standard(self):
         shape = ShapeA((6, 3))
         seen = set()
-        for t in enumerate_standard(shape, 3, "uniform"):
-            assert t.is_standard()
-            assert t.is_t_invariant()
-            assert t.shape_columns() == (6, 3)
-            assert t.rows not in seen
-            seen.add(t.rows)
+        for rows in enumerate_standard(shape, 3, "uniform"):
+            check_rows(rows, 3)
+            assert rows_standard(rows)
+            assert row_content(rows, 3) == (3, 3, 3)
+            assert tuple(map(len, rows)) == shape.row_lengths()
+            assert rows not in seen
+            seen.add(rows)
 
     def test_deterministic_order(self):
         shape = ShapeA((4, 4))
-        first = [t.rows for t in enumerate_standard(shape, 4, "uniform")]
-        second = [t.rows for t in enumerate_standard(shape, 4, "uniform")]
+        first = list(enumerate_standard(shape, 4, "uniform"))
+        second = list(enumerate_standard(shape, 4, "uniform"))
         assert first == second
         assert first == sorted(first)
 
@@ -250,6 +263,10 @@ class TestStripWalk:
         got = list(enumerate_standard(shape, inst.n, "uniform"))
         assert got == list(enumerate_standard_rowwise(shape, inst.n, "uniform"))
         assert count_standard(shape, inst.n, "uniform") == len(got)
+        # basis monomials are built from these rows as they are
+        for rows in got:
+            assert canonical_rows(rows) == rows
+            assert rows_standard(rows)
 
     def test_explicit_content_stream(self):
         cols, n, content = (2, 2), 4, (2, 1, 1, 0)

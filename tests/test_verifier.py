@@ -26,7 +26,7 @@ from artifact.verifier import (
     split_residue,
     validate_certificate,
 )
-from artifact.weights import FAMILY_B, GroupInstance, instance_by_label
+from artifact.weights import FAMILY_B, GroupInstance, instance_by_label, shape_from_weight
 from oracles import full_product_rank, unit_split_count
 
 ORACLE_GRID = (
@@ -60,8 +60,6 @@ class TestCheckGeneration:
         report = check_generation(instance_by_label("g24"), 2, 1)
         assert report.passed
         assert (report.dim, report.rank) == (5, 5)
-        assert report.generators_used == [(1, 3)]
-        assert report.elapsed >= 0.0
 
     def test_degree_within_bound_is_trivially_generated(self):
         report = check_generation(instance_by_label("g24"), 1, 1)
@@ -73,7 +71,6 @@ class TestCheckGeneration:
         report = check_generation(instance_by_label("g36"), 2, 1)
         assert report.verdict == "fail"
         assert (report.dim, report.rank) == (16, 15)
-        assert report.generators_used == [(1, 5)]
 
     def test_allowing_quadratic_generators_closes_the_gap(self):
         inst = instance_by_label("g36")
@@ -164,7 +161,10 @@ class TestTypeBFactorization:
         report = check_typeB_factorization(instance_by_label("spin7w2"), 4, 3)
         assert report.passed
         assert (report.dim, report.rank) == (225, 225)
-        assert max(j for j, _ in report.generators_used) <= 3
+        unit_boxes = shape_from_weight(instance_by_label("spin7w2"), 1).boxes
+        assert max(
+            sum(map(len, part)) for w in report.witnesses for part in w["parts"]
+        ) <= 3 * unit_boxes
         keys = list(report.as_dict().keys())
         assert keys == [
             "instance", "k", "d", "dim", "rank", "verdict", "witnesses",
