@@ -143,31 +143,31 @@ def _cmd_enumerate(args) -> int:
             print(count_standard(shape, instance.n, "uniform"))
             return 0
         tableaux = list(enumerate_standard(shape, instance.n, "uniform"))
-        rows = tableaux  # a type-A tableau is its row tuple
+        header: tuple[str, ...] = ()
     elif args.count_only:
-        print(count_standard_b(instance, args.degree, zero_weight=True))
+        print(count_standard_b(instance, args.degree))
         return 0
     else:
-        tableaux = list(enumerate_standard_b(instance, args.degree, zero_weight=True))
-        rows = [t.rows for t in tableaux]
+        tableaux = list(enumerate_standard_b(instance, args.degree))
+        header = (f"type: B, n: {instance.n}",)
     if args.format == "json":
         payload = {
             "instance": label,
             "degree": args.degree,
             "count": len(tableaux),
-            "tableaux": [[list(row) for row in r] for r in rows],
+            "tableaux": [[list(row) for row in t] for t in tableaux],
         }
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print("index,rows")
-        for i, r in enumerate(rows):
-            cells = "|".join(",".join(map(str, row)) for row in r)
+        for i, t in enumerate(tableaux):
+            cells = "|".join(",".join(map(str, row)) for row in t)
             print(f'{i},"{cells}"')
     else:
         print(f"# instance: {label}, degree: {args.degree}, count: {len(tableaux)}")
         for t in tableaux:
             print()
-            print(tableau_text(t))
+            print(tableau_text(t, header))
     return 0
 
 

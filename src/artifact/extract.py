@@ -157,10 +157,6 @@ def _union(n: int, parts: list[LoopedMultigraph]) -> LoopedMultigraph:
     return LoopedMultigraph(n, edges)
 
 
-def _loop_vertices(g: LoopedMultigraph) -> list[int]:
-    return [a for a, b in g.edges if a == b]
-
-
 def iter_interchanges(
     g: LoopedMultigraph, h: LoopedMultigraph, direction: int
 ):
@@ -172,7 +168,7 @@ def iter_interchanges(
     (sorted edge and loop choices), pair swaps before two-edge trades.
     """
     if direction == -1:
-        g_loops = sorted(set(_loop_vertices(g)))
+        g_loops = sorted(set(g.loop_vertices()))
         h_count = Counter(h.edges)
         for i, j in itertools.combinations(g_loops, 2):
             if h_count[(i, j)] > 0:
@@ -184,7 +180,7 @@ def iter_interchanges(
                 h2.add(i, i)
                 h2.add(j, j)
                 yield g2, h2
-        loop_count = Counter(_loop_vertices(g))
+        loop_count = Counter(g.loop_vertices())
         pairs = [
             (k, l)
             for k, l in itertools.combinations_with_replacement(sorted(loop_count), 2)
@@ -213,7 +209,7 @@ def iter_interchanges(
                         yield g2, h2
         return
     if direction == 1:
-        h_loops = Counter(_loop_vertices(h))
+        h_loops = Counter(h.loop_vertices())
         for i, j in sorted(set(g.proper_edges())):
             if i != j and h_loops[i] >= 1 and h_loops[j] >= 1:
                 g2, h2 = g.copy(), h.copy()
@@ -264,7 +260,7 @@ def find_interchange(
 def _relation_candidates(h: LoopedMultigraph) -> list[tuple[str, tuple]]:
     """Rewrites of the cofactor that might unlock an interchange."""
     out: list[tuple[str, tuple]] = []
-    loops = sorted(set(_loop_vertices(h)))
+    loops = sorted(set(h.loop_vertices()))
     for e in sorted(set(h.proper_edges())):
         for v in loops:
             if v not in e:
@@ -294,7 +290,7 @@ def rebalance_loops(
     branches becoming movable.  Relation steps are capped quadratically
     in the total loop count, after which the caller must fall back.
     """
-    total_loops = len(_loop_vertices(g)) + len(_loop_vertices(h))
+    total_loops = len(g.loop_vertices()) + len(h.loop_vertices())
     cap = max(4, total_loops * total_loops)
     steps = 0
     work: list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]] = [
@@ -303,7 +299,7 @@ def rebalance_loops(
     done: list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]] = []
     while work:
         coeff, cg, ch = work.pop()
-        delta = len(_loop_vertices(cg)) - target
+        delta = len(cg.loop_vertices()) - target
         if delta == 0:
             done.append((coeff, cg, ch))
             continue
@@ -339,16 +335,8 @@ def rebalance_loops(
     return done
 
 
-def _unit_data(instance: GroupInstance):
-    unit_shape = shape_from_weight(instance, 1)
-    cols = unit_shape.column_lengths
-    pairs = cols[1] if len(cols) > 1 else 0
-    singles = cols[0] - pairs
-    return unit_shape, singles, pairs
-
-
 def _monomial_degree(instance: GroupInstance, f: PluckerMonomial) -> int:
-    unit_shape, _, _ = _unit_data(instance)
+    unit_shape = shape_from_weight(instance, 1)
     if unit_shape.boxes == 0 or sum(len(r) for r in f.factors) % unit_shape.boxes:
         raise ValueError("monomial size is not a multiple of the unit shape")
     return sum(len(r) for r in f.factors) // unit_shape.boxes
@@ -399,7 +387,7 @@ def dividing_unit(instance: GroupInstance, f: PluckerMonomial) -> PluckerMonomia
     first, so its first hit is the lexicographically first dividing unit:
     the one that comes first in ``degree_one_basis``.
     """
-    unit_shape, _, _ = _unit_data(instance)
+    unit_shape = shape_from_weight(instance, 1)
     n = instance.n
     per_index = content_vector(unit_shape, n, "uniform")[0]
     counts = Counter(f.factors)  # f.factors is canonical, so is this order
@@ -422,7 +410,7 @@ def _split_candidate(
     instance: GroupInstance, f: PluckerMonomial
 ) -> list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]]:
     """Graph-level candidates (coeff, g, h) before loop rebalancing."""
-    unit_shape, singles, pairs = _unit_data(instance)
+    unit_shape = shape_from_weight(instance, 1)
     n = instance.n
     s = unit_shape.boxes // n
     k = _monomial_degree(instance, f)
@@ -438,13 +426,13 @@ def _split_candidate(
         factors = two_factorize(G)
         order = sorted(
             range(len(factors)),
-            key=lambda i: (-len(_loop_vertices(factors[i])), i),
+            key=lambda i: (-len(factors[i].loop_vertices()), i),
         )
         pick = None
         for idx in order:
             comps = analyze_components(factors[idx])
             n_odd = sum(1 for c in comps if c["kind"] == "odd_cycle")
-            if n_odd % 2 == 0 or _loop_vertices(factors[idx]):
+            if n_odd % 2 == 0 or factors[idx].loop_vertices():
                 pick = idx
                 break
         if pick is None:
@@ -551,7 +539,7 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
     if lengths <= {1, 2}:
         try:
             raw = _split_candidate(instance, f)
-            _, singles, _ = _unit_data(instance)
+            singles = shape_from_weight(instance, 1).row_lengths().count(1)
             balanced: list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]] = []
             for coeff, g, h in raw:
                 for c2, g2, h2 in rebalance_loops(g, h, singles):

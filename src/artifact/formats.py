@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .plucker import PluckerMonomial, PluckerPoly
 from .tableau_a import Factors
-from .tableau_b import TableauB
 from .verifier import FactorCertificate, GenerationReport
 
 
@@ -92,16 +91,9 @@ def parse_monomial(text: str, n: int) -> PluckerMonomial:
     return items[0][0]
 
 
-def tableau_text(t: Factors | TableauB) -> str:
-    """Rows as comma-separated lines; type B carries a header line.
-
-    A type-A tableau is given as its row tuple.
-    """
-    if isinstance(t, TableauB):
-        header, rows = [f"type: B, n: {t.n}"], t.rows
-    else:
-        header, rows = [], t
-    return "\n".join(header + [",".join(map(str, row)) for row in rows])
+def tableau_text(rows: Factors, header: tuple[str, ...] = ()) -> str:
+    """The header lines, then the rows as comma-separated lines."""
+    return "\n".join([*header, *(",".join(map(str, row)) for row in rows)])
 
 
 def certificate_json(cert: FactorCertificate, verified: bool | None = None) -> dict:

@@ -11,7 +11,6 @@ three-term exchange relations written on edges.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,8 +50,8 @@ class LoopedMultigraph:
                 deg[b] += 1
         return deg
 
-    def loops(self) -> list[Edge]:
-        return [e for e in self.edges if e[0] == e[1]]
+    def loop_vertices(self) -> list[int]:
+        return [a for a, b in self.edges if a == b]
 
     def proper_edges(self) -> list[Edge]:
         return [e for e in self.edges if e[0] != e[1]]
@@ -259,7 +258,7 @@ def normalize_loops(g: LoopedMultigraph) -> tuple[LoopedMultigraph, Provenance]:
     return classical, provenance
 
 
-def _euler_circuit(n: int, edges: list[tuple[int, Edge]]) -> list[tuple[int, int, int]]:
+def _euler_circuit(edges: list[tuple[int, Edge]]) -> list[tuple[int, int, int]]:
     """Hierholzer on one connected even-degree component.
 
     Edges carry instance ids; classical loops traverse v -> v once.
@@ -376,7 +375,7 @@ def two_factorize(g: LoopedMultigraph) -> list[LoopedMultigraph]:
         comps[find(a)].append((eid, (a, b)))
     arcs: list[tuple[int, int, int]] = []
     for comp_edges in comps.values():
-        arcs.extend(_euler_circuit(g.n, comp_edges))
+        arcs.extend(_euler_circuit(comp_edges))
     # classical degree is 2r everywhere on the support, so the circuits
     # leave and enter each touched vertex exactly r times: the out/in
     # incidence graph is r-regular bipartite

@@ -2,20 +2,20 @@
 
 Entries run over 1..2n and the value pairs {t, 2n+1-t} are opposites: a
 row may not contain both, and the torus fixes a tableau exactly when
-opposite values appear equally often.  Consecutive row pairs in the
-paired prefix must be admissible, i.e. linked by a chain of the
-entry-lowering operations s_i.
+opposite values appear equally often.  A tableau is a tuple of rows in
+tableau order: the paired rows first, then the spin rows.  Consecutive
+row pairs in the paired prefix must be admissible, i.e. linked by a
+chain of the entry-lowering operations s_i.  Unlike type A, the order of
+the rows is part of the tableau and is not the canonical order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import add, le
 from typing import Iterator, Sequence
 
-from .tableau_a import check_rows, first_violation, row_content
 from .weights import FAMILY_B, GroupInstance, ShapeB, shape_from_weight
 
 
@@ -65,58 +65,6 @@ def is_admissible(r: tuple[int, ...], r2: tuple[int, ...], n: int) -> bool:
     return r == r2 or r in _reachable(r2, n)
 
 
-@dataclass(frozen=True)
-class TableauB:
-    """Type-B tableau: rows in fixed order with a paired prefix.
-
-    The first 2*paired_prefix rows form consecutive admissible pairs;
-    the trailing spin_rows rows are exempt.  Row order is significant
-    (unlike type A, rows are not re-sorted).
-    """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-    paired_prefix: int
-    spin_rows: int
-
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        if 2 * self.paired_prefix + self.spin_rows != len(rows):
-            raise ValueError("paired and spin rows must tile the tableau")
-        top = 2 * self.n
-        check_rows(rows, top)
-        for row in rows:
-            for e in row:
-                if top + 1 - e in row:
-                    raise ValueError(f"row {row} holds both {e} and {top + 1 - e}")
-
-    def content(self) -> tuple[int, ...]:
-        return row_content(self.rows, 2 * self.n)
-
-    def is_standard(self) -> bool:
-        """Strictly increasing rows, columns non-decreasing in row order."""
-        return first_violation(self.rows) is None
-
-    def paired(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        end = 2 * self.paired_prefix
-        return list(zip(self.rows[0:end:2], self.rows[1:end:2]))
-
-    def is_admissible_tableau(self) -> bool:
-        return all(is_admissible(a, b, self.n) for a, b in self.paired())
-
-
-def half_weight(t: TableauB) -> tuple[int, ...]:
-    """Twice the weight of a type-B tableau: c_j - c_{2n+1-j} for j = 1..n."""
-    c, top = t.content(), 2 * t.n
-    return tuple(c[j] - c[top - 1 - j] for j in range(t.n))
-
-
-def is_t_invariant_b(t: TableauB) -> bool:
-    """Opposite entries t and 2n+1-t must appear equally often."""
-    return not any(half_weight(t))
-
-
 @lru_cache(maxsize=None)
 def _row_candidates(n: int, length: int) -> tuple[tuple[int, ...], ...]:
     """All valid rows of one length in lexicographic order: no opposite pair."""
@@ -139,28 +87,27 @@ class _SearchB:
     rows of a length that dominate `prev` entrywise and, for the second
     row of a pair, are admissible under `prev`; so each row is filtered
     once per call, not once per search node.  The search carries the
-    weight w, w_j = c_j - c_{2n+1-j} (every row weighs zero without
-    `zero_weight`), and keeps a row only while w can still reach zero:
-    sum |w_j| fits in the boxes left, each |w_j| in the rows left (a row
-    never holds both j and 2n+1-j), and no w_j needs an entry below the
-    row's first, which every later row dominates.  A state (row index,
-    row, w) fixes all that follows, so `memo` keeps how many tableaux a
-    searched state completes to (when listing, only the zeros): a state
-    that completes to none is not searched again.
+    weight w, w_j = c_j - c_{2n+1-j}, and keeps a row only while w can
+    still reach zero: sum |w_j| fits in the boxes left, each |w_j| in the
+    rows left (a row never holds both j and 2n+1-j), and no w_j needs an
+    entry below the row's first, which every later row dominates.  A
+    state (row index, row, w) fixes all that follows, so `memo` keeps how
+    many tableaux a searched state completes to (when listing, only the
+    zeros): a state that completes to none is not searched again.
     """
 
-    __slots__ = ("n", "lengths", "paired", "spin", "above", "memo", "rows", "delta", "left", "caps")
+    __slots__ = ("n", "lengths", "paired", "above", "memo", "rows", "delta", "left", "caps")
 
-    def __init__(self, instance: GroupInstance, degree: int, zero_weight: bool):
+    def __init__(self, instance: GroupInstance, degree: int):
         shape = shape_from_weight(instance, degree) if instance.family == FAMILY_B else None
         if not isinstance(shape, ShapeB):
             raise ValueError("type-B enumeration needs a type-B instance")
         n = self.n = instance.n
         self.lengths = shape.row_lengths()
-        self.paired, self.spin = shape.paired_rows, shape.spin_part
+        self.paired = shape.paired_rows
         self.above, self.memo, self.rows = {}, {}, []
         top, rng = 2 * n, range(1, n + 1)
-        self.delta = {row: tuple(zero_weight * ((j in row) - (top + 1 - j in row)) for j in rng)
+        self.delta = {row: tuple((j in row) - (top + 1 - j in row) for j in rng)
                       for ell in set(self.lengths) for row in _row_candidates(n, ell)}
         total = sum(self.lengths)
         self.left = [total - used for used in accumulate(self.lengths)]
@@ -218,23 +165,24 @@ class _SearchB:
 
 
 def enumerate_standard_b(
-    instance: GroupInstance, degree: int, *, zero_weight: bool = False
-) -> Iterator[TableauB]:
-    """All standard admissible tableaux of the instance's shape at a degree.
+    instance: GroupInstance, degree: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The zero-weight standard admissible tableaux of a degree, as row tuples.
 
     Rows are produced top to bottom, each ranging over the lexicographic
     candidates that dominate the previous row entrywise, with the
-    admissibility check applied as soon as a paired row completes.  With
-    `zero_weight`, a row is kept only while the weight it leaves can still
-    be evened out by the rows below it (see `_SearchB`), so the last row
-    admits exactly the torus-invariant tableaux.
+    admissibility check applied as soon as a paired row completes.  A row
+    is kept only while the weight it leaves can still be evened out by
+    the rows below it (see `_SearchB`), so the last row admits exactly
+    the torus-invariant tableaux.  Each tuple holds the rows in tableau
+    order, paired prefix first: not the canonical order of type A.
     """
-    search = _SearchB(instance, degree, zero_weight)
+    search = _SearchB(instance, degree)
     for _ in search.place(0, (0,) * search.n, True):
-        yield TableauB(search.n, tuple(search.rows), search.paired, search.spin)
+        yield tuple(search.rows)
 
 
-def count_standard_b(instance: GroupInstance, degree: int, *, zero_weight=False) -> int:
+def count_standard_b(instance: GroupInstance, degree: int) -> int:
     """How many tableaux `enumerate_standard_b` yields, building none of them."""
-    search = _SearchB(instance, degree, zero_weight)
+    search = _SearchB(instance, degree)
     return sum(search.place(0, (0,) * search.n, False))

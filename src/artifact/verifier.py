@@ -38,7 +38,7 @@ from .tableau_a import (
     enumerate_standard,
     rows_standard,
 )
-from .tableau_b import TableauB, enumerate_standard_b
+from .tableau_b import enumerate_standard_b
 from .weights import (
     FAMILY_A,
     FAMILY_B,
@@ -111,10 +111,6 @@ class FactorCertificate:
     instance: str
     monomial: PluckerMonomial
     terms: CertTermList
-
-
-def _label(instance: GroupInstance) -> str:
-    return instance.label or str(instance)
 
 
 def _partitions(total: int, max_part: int) -> list[tuple[int, ...]]:
@@ -234,7 +230,7 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
     """
     if instance.family != FAMILY_A:
         raise ValueError("use check_typeB_factorization for type B")
-    label = _label(instance)
+    label = str(instance)
     dim = basis_size(instance, k)
     if k <= d:
         return GenerationReport(
@@ -313,10 +309,10 @@ def _residue_rank(
     return tracker.exact()
 
 
-def _b_units(t: TableauB) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Invariant building blocks: intact row pairs, then single spin rows."""
-    units = [tuple(pair) for pair in t.paired()]
-    units += [(row,) for row in t.rows[2 * t.paired_prefix :]]
+def _b_units(rows, paired: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Invariant building blocks: the first `paired` row pairs, then single spin rows."""
+    end = 2 * paired
+    units = list(zip(rows[0:end:2], rows[1:end:2])) + [(row,) for row in rows[end:]]
     return tuple(sorted(units))
 
 
@@ -333,18 +329,19 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
     """
     if instance.family != FAMILY_B:
         raise ValueError("type-B factorization needs a type-B instance")
-    label = _label(instance)
-    basis = list(enumerate_standard_b(instance, k, zero_weight=True))
+    label = str(instance)
+    basis = list(enumerate_standard_b(instance, k))
+    paired = {j: shape_from_weight(instance, j).paired_rows for j in range(k + 1)}
     split = unit_splitter({
-        j: [_b_units(t) for t in enumerate_standard_b(instance, j, zero_weight=True)]
+        j: [_b_units(rows, paired[j]) for rows in enumerate_standard_b(instance, j)]
         for j in (range(1, d + 1) if k > d else ())
     })
     witnesses: list[dict] = []
     ok = 0
-    for tab in basis:
-        units = _b_units(tab)
+    for rows in basis:
+        units = _b_units(rows, paired[k])
         parts = [units] if k <= d else split(units, k)
-        entry: dict = {"element": [list(r) for r in tab.rows], "parts": None}
+        entry: dict = {"element": [list(r) for r in rows], "parts": None}
         if parts is not None:
             ok += 1
             entry["parts"] = [[list(r) for unit in part for r in unit] for part in parts]
@@ -377,8 +374,8 @@ def check_duality(r: int, n: int, k_max: int) -> dict:
         rows.append({"k": k, "left": cl, "right": cr})
         all_equal = all_equal and cl == cr
     return {
-        "left": _label(left),
-        "right": _label(right),
+        "left": str(left),
+        "right": str(right),
         "degrees": rows,
         "verdict": "pass" if all_equal else "fail",
     }
@@ -396,7 +393,7 @@ def run_instance_check(
         raise ValueError("generation degree must be non-negative")
     if not descent_ok(instance):
         return GenerationReport(
-            _label(instance),
+            str(instance),
             k,
             d,
             0,

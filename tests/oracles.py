@@ -17,14 +17,8 @@ from typing import Iterator
 from artifact.extract import degree_one_basis
 from artifact.linalg import exact_rank
 from artifact.plucker import PluckerMonomial, straighten
-from artifact.tableau_a import Factors, content_vector
-from artifact.tableau_b import (
-    TableauB,
-    _row_candidates,
-    enumerate_standard_b,
-    is_admissible,
-    is_t_invariant_b,
-)
+from artifact.tableau_a import Factors, check_rows, content_vector, first_violation, row_content
+from artifact.tableau_b import _row_candidates, enumerate_standard_b, is_admissible
 from artifact.verifier import _b_units, _partitions, basis_monomials
 from artifact.weights import FAMILY_B, GroupInstance, ShapeA, ShapeB, shape_from_weight
 
@@ -146,9 +140,27 @@ def valid_b_rows(n: int, length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def naive_standard_b(
-    instance: GroupInstance, degree: int, zero_weight: bool = True
-) -> set[tuple[tuple[int, ...], ...]]:
+def check_b_rows(rows, n: int) -> None:
+    """Raise unless each row is strictly increasing in 1..2n with no opposite pair."""
+    check_rows(rows, 2 * n)
+    for row in rows:
+        for e in row:
+            if 2 * n + 1 - e in row:
+                raise ValueError(f"row {row} holds both {e} and {2 * n + 1 - e}")
+
+
+def b_weight(rows, n: int) -> tuple[int, ...]:
+    """Twice the weight of type-B rows: c_j - c_{2n+1-j} for j = 1..n."""
+    c = row_content(rows, 2 * n)
+    return tuple(c[j] - c[2 * n - 1 - j] for j in range(n))
+
+
+def b_pairs_admissible(rows, paired: int, n: int) -> bool:
+    """Whether each of the first `paired` row pairs is admissible."""
+    return all(is_admissible(rows[2 * i], rows[2 * i + 1], n) for i in range(paired))
+
+
+def naive_standard_b(instance: GroupInstance, degree: int) -> set[tuple[tuple[int, ...], ...]]:
     """Filtered brute force over row multisets of the spin shape."""
     shape = shape_from_weight(instance, degree)
     assert isinstance(shape, ShapeB)
@@ -163,23 +175,16 @@ def naive_standard_b(
     for pick in itertools.product(*pools):
         rows = tuple(r for group in pick for r in group)
         ordered = tuple(sorted(rows, key=lambda r: (-len(r), r)))
-        try:
-            tab = TableauB(n, ordered, shape.paired_rows, shape.spin_part)
-        except ValueError:
-            continue
-        if not tab.is_standard():
-            continue
-        if not tab.is_admissible_tableau():
-            continue
-        if zero_weight and not is_t_invariant_b(tab):
-            continue
-        found.add(ordered)
+        if (first_violation(ordered) is None
+                and b_pairs_admissible(ordered, shape.paired_rows, n)
+                and not any(b_weight(ordered, n))):
+            found.add(ordered)
     return found
 
 
 def enumerate_standard_b_pool(
-    instance: GroupInstance, degree: int, *, zero_weight: bool = False
-) -> Iterator[TableauB]:
+    instance: GroupInstance, degree: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Type-B search filtering the whole candidate pool at every row (reference).
 
     Rows are produced top to bottom, each ranging over the lexicographic
@@ -194,12 +199,11 @@ def enumerate_standard_b_pool(
         raise AssertionError("a type-B instance has a spin shape")
     lengths = shape.row_lengths()
     if not lengths:
-        yield TableauB(instance.n, (), 0, 0)
+        yield ()
         return
     n = instance.n
     top = 2 * n
     paired = shape.paired_rows
-    spin = shape.spin_part
     pools = {length: _row_candidates(n, length) for length in set(lengths)}
     total_boxes = sum(lengths)
     counts = [0] * top
@@ -208,9 +212,9 @@ def enumerate_standard_b_pool(
     def imbalance() -> int:
         return sum(abs(counts[j] - counts[top - 1 - j]) for j in range(n))
 
-    def place(idx: int, used: int) -> Iterator[TableauB]:
+    def place(idx: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if idx == len(lengths):
-            yield TableauB(n, tuple(rows), paired, spin)
+            yield tuple(rows)
             return
         length = lengths[idx]
         prev = rows[idx - 1] if idx else None
@@ -227,31 +231,28 @@ def enumerate_standard_b_pool(
                 if len(rows[idx - 1]) != length:
                     raise ValueError("paired rows of unequal length")
                 ok = is_admissible(rows[idx - 1], cand, n)
-            if ok and zero_weight:
-                remaining = total_boxes - used - length
-                ok = imbalance() <= remaining
-            if ok:
+            if ok and imbalance() <= total_boxes - used - length:
                 yield from place(idx + 1, used + length)
             rows.pop()
             for e in cand:
                 counts[e - 1] -= 1
 
     for t in place(0, 0):
-        if not zero_weight or is_t_invariant_b(t):
+        if not any(b_weight(t, n)):
             yield t
 
 
 def enumerate_standard_b_imbalance(
-    instance: GroupInstance, degree: int, *, zero_weight: bool = False
-) -> Iterator[TableauB]:
+    instance: GroupInstance, degree: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Type-B search pruning on the scalar imbalance alone (reference).
 
     The package's search before its per-coordinate weight prune: each
     row's candidates are looked up in a table built once per call, and
     the imbalance, the sum over opposite pairs of |c_t - c_opp|, is
-    carried along and updated from the entries of each row placed.  With
-    `zero_weight` a row is kept while the imbalance fits in the boxes
-    left, so the last row admits exactly the torus-invariant tableaux.
+    carried along and updated from the entries of each row placed.  A row
+    is kept while the imbalance fits in the boxes left, so the last row
+    admits exactly the torus-invariant tableaux.
     """
     if instance.family != FAMILY_B:
         raise ValueError("type-B enumeration needs a type-B instance")
@@ -259,7 +260,7 @@ def enumerate_standard_b_imbalance(
     assert isinstance(shape, ShapeB)
     lengths = shape.row_lengths()
     if not lengths:
-        yield TableauB(instance.n, (), 0, 0)
+        yield ()
         return
     n = instance.n
     top = 2 * n
@@ -285,9 +286,9 @@ def enumerate_standard_b_imbalance(
             ]
         return above[key]
 
-    def place(idx: int, used: int, imbalance: int) -> Iterator[TableauB]:
+    def place(idx: int, used: int, imbalance: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if idx == len(lengths):
-            yield TableauB(n, tuple(rows), shape.paired_rows, shape.spin_part)
+            yield tuple(rows)
             return
         length = lengths[idx]
         remaining = total - used - length
@@ -296,7 +297,7 @@ def enumerate_standard_b_imbalance(
             for e in cand:
                 after += 1 if counts[e - 1] >= counts[top - e] else -1
                 counts[e - 1] += 1
-            if not zero_weight or after <= remaining:
+            if after <= remaining:
                 rows.append(cand)
                 yield from place(idx + 1, used + length, after)
                 rows.pop()
@@ -496,11 +497,9 @@ def _b_piece_degree(instance: GroupInstance, rows) -> int | None:
     ordered = tuple(sorted(rows, key=lambda r: (-len(r), r)))
     if tuple(len(r) for r in ordered) != shape.row_lengths():
         return None
-    try:
-        tab = TableauB(instance.n, ordered, shape.paired_rows, shape.spin_part)
-    except ValueError:
-        return None
-    if not (tab.is_standard() and tab.is_admissible_tableau() and is_t_invariant_b(tab)):
+    if not (first_violation(ordered) is None
+            and b_pairs_admissible(ordered, shape.paired_rows, instance.n)
+            and not any(b_weight(ordered, instance.n))):
         return None
     return j
 
@@ -534,10 +533,12 @@ def unit_split_count(instance: GroupInstance, k: int, d: int) -> tuple[int, int,
     by trying every subset of them as a piece, validated by rebuilding a
     tableau from its rows; rank counts the elements that split.
     """
-    basis = list(enumerate_standard_b(instance, k, zero_weight=True))
+    basis = list(enumerate_standard_b(instance, k))
+    paired = shape_from_weight(instance, k).paired_rows
     memo: dict = {}
     rank = sum(
-        _split_units(instance, _b_units(t), k, d, memo) is not None for t in basis
+        _split_units(instance, _b_units(rows, paired), k, d, memo) is not None
+        for rows in basis
     )
     return len(basis), rank, "pass" if rank == len(basis) else "fail"
 

@@ -44,12 +44,12 @@ class TestEnumerate:
         assert (code, out, err) == (0, "32425\n", "")
 
     def test_type_b_count_only_builds_no_tableau(self, capsys, monkeypatch):
-        import artifact.tableau_b as tableau_b
+        import artifact.cli as cli
 
         def refuse(*args, **kwargs):
-            raise AssertionError("--count-only built a tableau")
+            raise AssertionError("--count-only enumerated")
 
-        monkeypatch.setattr(tableau_b, "TableauB", refuse)
+        monkeypatch.setattr(cli, "enumerate_standard_b", refuse)
         code, out, err = run(capsys, "enumerate", "spin7w2", "-k", "4", "--count-only")
         assert (code, out, err) == (0, "225\n", "")
 
@@ -92,6 +92,23 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "spin5w2", "-k", "2")
         assert code == 0
         assert "type: B, n: 2" in out
+
+    def test_type_b_table_bytes(self, capsys):
+        code, out, err = run(capsys, "enumerate", "spin5w2", "-k", "1")
+        assert (code, err) == (0, "")
+        assert out == (
+            "# instance: spin5w2, degree: 1, count: 2\n"
+            "\n"
+            "type: B, n: 2\n1,2\n3,4\n"
+            "\n"
+            "type: B, n: 2\n1,3\n2,4\n"
+        )
+
+    def test_type_b_degree_zero_is_a_bare_header(self, capsys):
+        # the one empty tableau prints its header and no rows
+        code, out, err = run(capsys, "enumerate", "spin7w2", "-k", "0")
+        assert (code, err) == (0, "")
+        assert out == "# instance: spin7w2, degree: 0, count: 1\n\ntype: B, n: 3\n"
 
     def test_unknown_label(self, capsys):
         code, out, err = run(capsys, "enumerate", "zzz", "--count-only")

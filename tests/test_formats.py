@@ -22,7 +22,6 @@ from artifact.formats import (
     tableau_text,
 )
 from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
-from artifact.tableau_b import TableauB
 from artifact.verifier import (
     FactorCertificate,
     GenerationReport,
@@ -141,8 +140,9 @@ class TestTableauText:
         assert tableau_text(()) == ""
 
     def test_type_b_header(self):
-        t = TableauB(3, ((1, 2), (1, 3), (4,)), paired_prefix=1, spin_rows=1)
-        assert tableau_text(t) == "type: B, n: 3\n1,2\n1,3\n4"
+        rows = ((1, 2), (1, 3), (4,))
+        assert tableau_text(rows, ("type: B, n: 3",)) == "type: B, n: 3\n1,2\n1,3\n4"
+        assert tableau_text((), ("type: B, n: 3",)) == "type: B, n: 3"
 
 
 class TestCertificateJson:

@@ -82,7 +82,7 @@ class TestMonomialCorrespondence:
         )
         g = graph_from_monomial(m)
         assert g.is_regular(5)
-        assert g.loops() == [(6, 6)] * 4
+        assert g.loop_vertices() == [6] * 4
 
 
 class TestNormalizeLoops:

@@ -2,18 +2,20 @@
 
 import pytest
 
+from artifact.tableau_a import first_violation
 from artifact.tableau_b import (
-    TableauB,
+    _row_candidates,
     count_standard_b,
     enumerate_standard_b,
-    half_weight,
     is_admissible,
-    is_t_invariant_b,
     s_op,
 )
-from artifact.weights import instance_by_label
+from artifact.weights import ShapeB, instance_by_label, shape_from_weight
 
 from oracles import (
+    b_pairs_admissible,
+    b_weight,
+    check_b_rows,
     enumerate_standard_b_imbalance,
     enumerate_standard_b_pool,
     naive_standard_b,
@@ -74,56 +76,56 @@ class TestAdmissibility:
 
 
 class TestTableauValidation:
+    """The row rules every listed tableau obeys, as the basis checks below apply them."""
+
     def test_opposite_entries_cannot_share_a_row(self):
         with pytest.raises(ValueError, match="holds both"):
-            TableauB(2, ((1, 4),), 0, 1)
+            check_b_rows(((1, 4),), 2)
+        assert (1, 4) not in _row_candidates(2, 2)
 
     def test_entries_bounded_by_twice_the_rank(self):
         with pytest.raises(ValueError, match="range"):
-            TableauB(2, ((5,),), 0, 1)
+            check_b_rows(((5,),), 2)
 
     def test_rows_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            TableauB(3, ((2, 2),), 0, 1)
+            check_b_rows(((2, 2),), 3)
 
     def test_prefix_and_spin_rows_must_tile(self):
         with pytest.raises(ValueError, match="tile"):
-            TableauB(2, ((1,), (2,)), 0, 1)
+            ShapeB((2,), spin_part=1, paired_rows=0)
 
     def test_standardness_checks_columns_in_row_order(self):
-        assert TableauB(3, ((1, 3), (2, 4)), 1, 0).is_standard()
-        assert not TableauB(3, ((2, 4), (1, 3)), 1, 0).is_standard()
+        assert first_violation(((1, 3), (2, 4))) is None
+        assert first_violation(((2, 4), (1, 3))) is not None
         # a longer row below a shorter one is not allowed
-        assert not TableauB(3, ((1,), (1, 2)), 0, 2).is_standard()
+        assert first_violation(((1,), (1, 2))) is not None
         # ... even when the rows above it are standard pairs and the
         # shared prefix compares fine
-        assert not TableauB(3, ((1, 2), (1, 2), (1,), (2, 3)), 1, 2).is_standard()
+        assert first_violation(((1, 2), (1, 2), (1,), (2, 3))) is not None
 
 
 class TestWeights:
     def test_invariant_spin_columns(self):
-        assert is_t_invariant_b(TableauB(2, ((1,), (1,), (4,), (4,)), 0, 4))
-        assert is_t_invariant_b(TableauB(3, ((2,), (2,), (5,), (5,)), 0, 4))
+        assert not any(b_weight(((1,), (1,), (4,), (4,)), 2))
+        assert not any(b_weight(((2,), (2,), (5,), (5,)), 3))
 
     def test_unbalanced_tableau_is_not_invariant(self):
-        t = TableauB(3, ((1, 2), (1, 2)), 1, 0)
-        assert not is_t_invariant_b(t)
-        assert half_weight(t) == (2, 2, 0)
+        assert b_weight(((1, 2), (1, 2)), 3) == (2, 2, 0)
 
     def test_half_weight_subtracts_opposites(self):
-        t = TableauB(2, ((1, 2), (3, 4)), 1, 0)
-        assert half_weight(t) == (0, 0)
+        assert b_weight(((1, 2), (3, 4)), 2) == (0, 0)
 
 
 class TestEnumeration:
     def test_smallest_spin_line_bundle_generators(self):
         inst = instance_by_label("spin5w1")
-        out = [t.rows for t in enumerate_standard_b(inst, 1, zero_weight=True)]
+        out = list(enumerate_standard_b(inst, 1))
         assert out == [((1,), (1,), (4,), (4,)), ((2,), (2,), (3,), (3,))]
 
     def test_rank_three_vector_generators(self):
         inst = instance_by_label("spin7w1")
-        out = [t.rows for t in enumerate_standard_b(inst, 1, zero_weight=True)]
+        out = list(enumerate_standard_b(inst, 1))
         assert out == [
             ((1,), (1,), (6,), (6,)),
             ((2,), (2,), (5,), (5,)),
@@ -132,7 +134,7 @@ class TestEnumeration:
 
     def test_rank_two_paired_generators(self):
         inst = instance_by_label("spin5w2")
-        out = [t.rows for t in enumerate_standard_b(inst, 1, zero_weight=True)]
+        out = list(enumerate_standard_b(inst, 1))
         assert out == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
 
     @pytest.mark.parametrize(
@@ -149,8 +151,8 @@ class TestEnumeration:
     def test_frozen_invariant_counts(self, label, counts):
         inst = instance_by_label(label)
         for k, expected in enumerate(counts, start=1):
-            assert count_standard_b(inst, k, zero_weight=True) == expected
-            listed = enumerate_standard_b(inst, k, zero_weight=True)
+            assert count_standard_b(inst, k) == expected
+            listed = enumerate_standard_b(inst, k)
             assert sum(1 for _ in listed) == expected
 
     @pytest.mark.parametrize(
@@ -170,28 +172,27 @@ class TestEnumeration:
     def test_matches_naive_filter_oracle(self, label, degree):
         inst = instance_by_label(label)
         got = {
-            tuple(sorted(t.rows, key=lambda r: (-len(r), r)))
-            for t in enumerate_standard_b(inst, degree, zero_weight=True)
+            tuple(sorted(rows, key=lambda r: (-len(r), r)))
+            for rows in enumerate_standard_b(inst, degree)
         }
         assert got == naive_standard_b(inst, degree)
 
     def test_every_output_is_standard_admissible_invariant(self):
-        inst = instance_by_label("spin7w2")
-        seen = set()
-        for t in enumerate_standard_b(inst, 2, zero_weight=True):
-            assert t.is_standard()
-            assert t.is_admissible_tableau()
-            assert is_t_invariant_b(t)
-            assert t.paired_prefix == 4 and t.spin_rows == 0
-            assert t.rows not in seen
-            seen.add(t.rows)
-
-    def test_weight_filter_is_optional(self):
-        for label, degree in [("spin5w1", 1), ("spin7w2", 2)]:
+        # the frozen-count grid: spin5w1 to spin7w3 up to k = 3, spin9w4 up to k = 2
+        grid = [(label, k) for label in SPIN57 for k in (1, 2, 3)]
+        grid += [("spin9w4", 1), ("spin9w4", 2)]
+        for label, k in grid:
             inst = instance_by_label(label)
-            full = count_standard_b(inst, degree)
-            assert full == sum(1 for _ in enumerate_standard_b(inst, degree))
-            assert full > count_standard_b(inst, degree, zero_weight=True)
+            n, shape = inst.n, shape_from_weight(inst, k)
+            seen = set()
+            for rows in enumerate_standard_b(inst, k):
+                check_b_rows(rows, n)
+                assert first_violation(rows) is None
+                assert b_pairs_admissible(rows, shape.paired_rows, n)
+                assert not any(b_weight(rows, n))
+                assert len(rows) == 2 * shape.paired_rows + shape.spin_part
+                assert rows not in seen
+                seen.add(rows)
 
     def test_type_a_instance_rejected(self):
         with pytest.raises(ValueError, match="type-B"):
@@ -201,8 +202,8 @@ class TestEnumeration:
         # the reversed chain reading would reject exactly these two tableaux
         inst = instance_by_label("spin7w2")
         unequal = [
-            t for t in enumerate_standard_b(inst, 1, zero_weight=True)
-            if any(a != b for a, b in t.paired())
+            rows for rows in enumerate_standard_b(inst, 1)
+            if any(a != b for a, b in zip(rows[0::2], rows[1::2]))
         ]
         assert len(unequal) == 2
 
@@ -213,35 +214,27 @@ class TestEnumeration:
     )
     def test_same_stream_as_the_whole_pool_filter(self, label, degree):
         inst = instance_by_label(label)
-        for zero_weight in (True, False) if degree == 1 else (True,):
-            got = list(enumerate_standard_b(inst, degree, zero_weight=zero_weight))
-            assert got == list(
-                enumerate_standard_b_pool(inst, degree, zero_weight=zero_weight)
-            )
+        got = list(enumerate_standard_b(inst, degree))
+        assert got == list(enumerate_standard_b_pool(inst, degree))
 
+    # the third field marks the zero-weight stream, the only one either search lists
     @pytest.mark.parametrize(
         "label, degree, zero_weight",
         [(label, degree, True) for label in SPIN57 for degree in [1, 2, 3, 4]]
-        + [(label, degree, False) for label in SPIN57 for degree in [1, 2]]
         + [("spin9w2", 2, True), ("spin9w4", 2, True)],
     )
     def test_same_stream_as_the_imbalance_search(self, label, degree, zero_weight):
         inst = instance_by_label(label)
-        got = list(enumerate_standard_b(inst, degree, zero_weight=zero_weight))
-        assert got == list(
-            enumerate_standard_b_imbalance(inst, degree, zero_weight=zero_weight)
-        )
+        got = list(enumerate_standard_b(inst, degree))
+        assert got == list(enumerate_standard_b_imbalance(inst, degree))
 
     def test_dead_states_stay_inside_one_call(self):
         inst = instance_by_label("spin7w3")
-        want = list(enumerate_standard_b_imbalance(inst, 2, zero_weight=True))
-        assert list(enumerate_standard_b(inst, 2, zero_weight=True)) == want
-        assert list(enumerate_standard_b(inst, 2, zero_weight=True)) == want
-        # a zero-weight call's dead states would prune the unweighted one
-        unweighted = list(enumerate_standard_b_imbalance(inst, 2))
-        assert list(enumerate_standard_b(inst, 2)) == unweighted
+        want = list(enumerate_standard_b_imbalance(inst, 2))
+        assert list(enumerate_standard_b(inst, 2)) == want
+        assert list(enumerate_standard_b(inst, 2)) == want
         # two live searches taken in turns do not share a memo
-        first = enumerate_standard_b(inst, 2, zero_weight=True)
-        second = enumerate_standard_b(inst, 2, zero_weight=True)
+        first = enumerate_standard_b(inst, 2)
+        second = enumerate_standard_b(inst, 2)
         pairs = list(zip(first, second))
         assert [a for a, _ in pairs] == [b for _, b in pairs] == want

@@ -190,15 +190,13 @@ class TestTypeBFactorization:
         inst = instance_by_label("spin7w2")
         report = check_typeB_factorization(inst, k, d)
         # each lower basis element's units, keyed by its flattened rows
+        paired = {j: shape_from_weight(inst, j).paired_rows for j in range(1, k + 1)}
         lower = {
             tuple(row for unit in units for row in unit): units
             for j in range(1, d + 1)
-            for units in map(_b_units, enumerate_standard_b(inst, j, zero_weight=True))
+            for units in (_b_units(rows, paired[j]) for rows in enumerate_standard_b(inst, j))
         }
-        element_units = {
-            tuple(t.rows): _b_units(t)
-            for t in enumerate_standard_b(inst, k, zero_weight=True)
-        }
+        element_units = {rows: _b_units(rows, paired[k]) for rows in enumerate_standard_b(inst, k)}
         split = [w for w in report.witnesses if w["parts"] is not None]
         assert len(split) == report.rank
         for witness in split:
