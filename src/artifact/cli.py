@@ -40,7 +40,6 @@ from .plucker import straighten
 from .tableau_a import count_standard, enumerate_standard
 from .tableau_b import count_standard_b, enumerate_standard_b
 from .verifier import (
-    FactorCertificate,
     check_duality,
     run_instance_check,
     run_paper_suite,
@@ -215,13 +214,12 @@ def _cmd_factorize(args) -> int:
         raise ValueError("missing monomial")
     mono = parse_monomial(text, instance.n)
     terms = extract_degree_one(instance, mono)
-    cert = FactorCertificate(label, mono, terms)
     ok = validate_certificate(instance, mono, terms, seed=args.seed)
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph_from_monomial(mono)))
     if args.format == "json":
-        print(json.dumps(certificate_json(cert, verified=ok), indent=2))
+        print(json.dumps(certificate_json(label, mono, terms, ok), indent=2))
     elif args.format == "csv":
         print("coeff,generator,cofactor")
         for c, g, h in terms:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .plucker import PluckerMonomial, PluckerPoly
 from .tableau_a import Factors
-from .verifier import FactorCertificate, GenerationReport
+from .verifier import CertTermList, GenerationReport
 
 
 def format_coeff(c: Fraction) -> str:
@@ -96,22 +96,23 @@ def tableau_text(rows: Factors, header: tuple[str, ...] = ()) -> str:
     return "\n".join([*header, *(",".join(map(str, row)) for row in rows)])
 
 
-def certificate_json(cert: FactorCertificate, verified: bool | None = None) -> dict:
-    out: dict = {
-        "instance": cert.instance,
-        "monomial": str(cert.monomial),
+def certificate_json(
+    instance: str, monomial: PluckerMonomial, terms: CertTermList, verified: bool
+) -> dict:
+    """f written as sum c * g * h over degree-one generators g, plus the verdict."""
+    return {
+        "instance": instance,
+        "monomial": str(monomial),
         "terms": [
             {
                 "coeff": format_coeff(c),
                 "generator": str(g),
                 "cofactor": str(h),
             }
-            for c, g, h in cert.terms
+            for c, g, h in terms
         ],
+        "verified": verified,
     }
-    if verified is not None:
-        out["verified"] = verified
-    return out
 
 
 REPORT_COLUMNS = ("instance", "k", "d", "dim", "rank", "verdict")

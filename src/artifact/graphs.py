@@ -98,13 +98,6 @@ class LoopedMultigraph:
             out.append(sorted(comp))
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LoopedMultigraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
 
 def graph_from_monomial(m: PluckerMonomial) -> LoopedMultigraph:
     """Pairs become edges, singletons become loops; lengths > 2 rejected."""
@@ -419,6 +412,23 @@ TWO_REGULAR_KINDS = (
 )
 
 
+def _trail(adj: dict[int, list[tuple[int, int]]], start: int) -> tuple[list[int], set[int]]:
+    """Walk from start along unused edges, smallest neighbour first.
+
+    Returns the vertex sequence and the ids of the edges it used.
+    """
+    seq, used = [start], set()
+    while True:
+        step = next(
+            (p for p in sorted(adj[seq[-1]], key=lambda p: p[1]) if p[0] not in used),
+            None,
+        )
+        if step is None:
+            return seq, used
+        used.add(step[0])
+        seq.append(step[1])
+
+
 def _component_walk(edges: list[Edge]) -> dict:
     """Structure of one degree <= 2 component, with an ordered traversal.
 
@@ -453,22 +463,8 @@ def _component_walk(edges: list[Edge]) -> dict:
         # proper edges form a cycle; loops would push degree past 2
         if loop_at:
             raise ValueError("cycle vertex carries a loop")
-        start = min(adj)
-        seq = [start]
-        used = set()
-        v = start
-        while True:
-            nxt = None
-            for idx, w in sorted(adj[v], key=lambda p: p[1]):
-                if idx not in used:
-                    nxt = (idx, w)
-                    break
-            if nxt is None:
-                break
-            used.add(nxt[0])
-            v = nxt[1]
-            seq.append(v)
-        if len(used) != len(proper) or seq[-1] != start:
+        seq, used = _trail(adj, min(adj))
+        if len(used) != len(proper) or seq[-1] != seq[0]:
             raise ValueError("component is not a single cycle")
         order = [
             tuple(sorted((seq[i], seq[i + 1]))) for i in range(len(seq) - 1)
@@ -478,22 +474,7 @@ def _component_walk(edges: list[Edge]) -> dict:
     if len(ends) != 2:
         raise ValueError("path component needs exactly two ends")
     start = ends[0] if loop_at[ends[0]] >= loop_at[ends[1]] else ends[1]
-    if loop_at[ends[0]] == loop_at[ends[1]]:
-        start = min(ends)
-    seq = [start]
-    used: set[int] = set()
-    v = start
-    while True:
-        nxt = None
-        for idx, w in sorted(adj[v], key=lambda p: p[1]):
-            if idx not in used:
-                nxt = (idx, w)
-                break
-        if nxt is None:
-            break
-        used.add(nxt[0])
-        v = nxt[1]
-        seq.append(v)
+    seq, used = _trail(adj, start)
     if len(used) != len(proper):
         raise ValueError("component is not a single path")
     interior_loops = [v for v in loop_at if v not in (seq[0], seq[-1])]
@@ -541,9 +522,9 @@ def classify_two_regular(g: LoopedMultigraph) -> list[dict]:
     return out
 
 
-def to_dot(g: LoopedMultigraph, name: str = "G") -> str:
+def to_dot(g: LoopedMultigraph) -> str:
     """Graphviz text form; loops render as self-edges."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     touched = {v for e in g.edges for v in e}
     for v in range(1, g.n + 1):
         if v in touched:

@@ -98,21 +98,6 @@ class GenerationReport:
         return out
 
 
-@dataclass
-class FactorCertificate:
-    """f written as an exact combination of degree-one generators.
-
-    Each term is (coefficient, generator, cofactor); the invariant is
-    that the expansion sum c * g * h straighten-equals f.  Certificates
-    produced by the extraction pipeline additionally have every
-    generator standard, but hand-assembled ones need not.
-    """
-
-    instance: str
-    monomial: PluckerMonomial
-    terms: CertTermList
-
-
 def _partitions(total: int, max_part: int) -> list[tuple[int, ...]]:
     """Integer partitions with bounded parts, non-increasing, lex order."""
     if total == 0:
@@ -424,6 +409,15 @@ def run_paper_suite(entries: list[dict] | None = None) -> list[GenerationReport]
     return reports
 
 
+def monomial_degree(instance: GroupInstance, f: PluckerMonomial) -> int:
+    """f's degree k: its box count over the unit shape's."""
+    unit_boxes = shape_from_weight(instance, 1).boxes
+    boxes = sum(len(r) for r in f.factors)
+    if unit_boxes == 0 or boxes % unit_boxes:
+        raise ValueError("monomial size is not a multiple of the unit shape")
+    return boxes // unit_boxes
+
+
 def factor_by_linear_algebra(
     instance: GroupInstance, f: PluckerMonomial
 ) -> CertTermList:
@@ -433,11 +427,7 @@ def factor_by_linear_algebra(
     pairs; an exact solve over the integer coordinates of the straightened
     products either yields a certificate or proves none exists.
     """
-    unit_shape = shape_from_weight(instance, 1)
-    boxes = sum(len(r) for r in f.factors)
-    if boxes % unit_shape.boxes:
-        raise ValueError("monomial size is not a multiple of the unit shape")
-    k = boxes // unit_shape.boxes
+    k = monomial_degree(instance, f)
     if k < 2:
         raise ValueError("degree must be at least 2")
     basis_k = basis_monomials(instance, k)

@@ -1,15 +1,21 @@
 """Degree-one extraction: selections, merges, interchanges, certificates."""
 
+import contextlib
+import hashlib
+import io
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import artifact.extract as extract
+from artifact import cli
 from artifact.extract import (
     ExtractionStuck,
     degree_one_basis,
     dividing_unit,
     extract_degree_one,
-    find_interchange,
     graph_difference,
     iter_interchanges,
     merge_odd_cycles,
@@ -19,6 +25,7 @@ from artifact.extract import (
 from artifact.graphs import (
     LoopedMultigraph,
     combo_to_poly,
+    graph_from_monomial,
     monomial_from_graph,
 )
 from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
@@ -27,7 +34,7 @@ from artifact.verifier import (
     factor_by_linear_algebra,
     validate_certificate,
 )
-from artifact.weights import instance_by_label
+from artifact.weights import instance_by_label, shape_from_weight
 from oracles import first_dividing_unit
 
 
@@ -154,7 +161,7 @@ class TestInterchanges:
         g = graph(4, (1, 2), (3, 3), (4, 4))
         h = graph(4, (1, 2), (1, 2))
         assert list(iter_interchanges(g, h, -1)) == []
-        assert find_interchange(g, h, -1) is None
+        assert next(iter_interchanges(g, h, -1), None) is None
 
     def test_invalid_direction_rejected(self):
         g = graph(2, (1, 2))
@@ -371,3 +378,120 @@ class TestLinearAlgebraRoute:
         f = PluckerMonomial(4, ((1, 4), (1, 4), (2, 3), (2, 3)) * 2)
         with pytest.raises(ValueError, match="basis element"):
             factor_by_linear_algebra(inst, f)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+FIG1 = ((1, 2),) * 2 + ((1, 3),) * 5 + ((1, 4),) * 3 + ((2, 4),) * 7 + (
+    (2, 5), *((3, 5),) * 5, *((5,),) * 4, *((6,),) * 10)
+FIG4 = ((1, 2),) * 2 + ((1, 4),) * 3 + ((2, 4),) * 2 + ((2, 5),) + (
+    (3, 5),) * 4 + ((3, 6),) + ((6,),) * 4
+
+# sha256 of [(str(coeff), str(g), str(h)), ...] for each element that no
+# degree-one unit divides, in basis order
+GRAPH_ROUTE_TERMS = {
+    "fl511": [
+        "bff47785c6a95f20296afc05930d3a80b59765d93bf270d07b1ee7955281ee88",
+        "813c8522fadc36d861a0f9fd1376e98e8d33b844905d4e576a69628b713ecc04",
+    ],
+    "fl512": [
+        "3cd420e7daae12ae85501400c469aa7a80f60bffe2b3fbbd086744563e59d6f3",
+        "359d348efefeba43afd9eb9135db670e0ee0a3182b636294ccc829945167157f",
+    ],
+}
+# sha256 of one [(str(coeff), g.edges, h.edges), ...] list per basis element
+REBALANCED_CANDIDATES = {
+    ("fl421", 2): "e446ab2db2f8b89808318a71f3409df979abb904a6ed7e49d3775de806b828c6",
+    ("fl411", 3): "8686fbd108a8967be1d7d186c4fe14b99afe1a631a30b223708227e5a601acdf",
+}
+
+
+class TestGraphRoute:
+    """Pins of the two-factorization route, the one the divide path skips.
+
+    Every element of the measured pieces it answers sits in a piece with
+    k even and s odd (s is the unit's box count over n); the candidate
+    tests reach the other two branches of ``_split_candidate`` directly.
+    """
+
+    def test_fl611_certificates_match_the_benchmark_pool(self):
+        pool_path = Path(__file__).resolve().parents[1] / "perfbench" / "factorize_pool.json"
+        with open(pool_path, encoding="utf-8") as fh:
+            entries = json.load(fh)["fl611.k2"]["monomials"]
+        stuck = [(text, digest) for text, divisible, digest in entries if not divisible]
+        assert len(stuck) == 9
+        for text, digest in stuck:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(["factorize", "fl611", text, "--format", "json"]) == 0
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, text
+
+    @pytest.mark.parametrize("label", sorted(GRAPH_ROUTE_TERMS))
+    def test_undivided_elements_take_the_graph_route(self, label, monkeypatch):
+        inst = instance_by_label(label)
+        stuck = [f for f in basis_monomials(inst, 2) if dividing_unit(inst, f) is None]
+
+        def refuse(*args):
+            raise AssertionError("the graph route fell back to linear algebra")
+
+        monkeypatch.setattr(extract, "factor_by_linear_algebra", refuse)
+        got = []
+        for f in stuck:
+            terms = extract_degree_one(inst, f)
+            assert validate_certificate(inst, f, terms, count=2)
+            got.append(_digest([(str(c), str(g), str(h)) for c, g, h in terms]))
+        assert got == GRAPH_ROUTE_TERMS[label]
+
+    @pytest.mark.parametrize("label, k", sorted(REBALANCED_CANDIDATES))
+    def test_split_branches_the_divide_path_skips(self, label, k):
+        inst = instance_by_label(label)
+        singles = shape_from_weight(inst, 1).row_lengths().count(1)
+        pinned = []
+        for f in basis_monomials(inst, k):
+            rows, total = [], PluckerPoly(inst.n)
+            for coeff, g, h in extract._split_candidate(inst, f, k):
+                for c2, g2, h2 in rebalance_loops(g, h, singles):
+                    assert len(g2.loop_vertices()) == singles
+                    rows.append((str(coeff * c2), g2.edges, h2.edges))
+                    product = monomial_from_graph(g2) * monomial_from_graph(h2)
+                    total = total + PluckerPoly.from_monomial(product, coeff * c2)
+            assert straighten(total) == PluckerPoly(inst.n, {f: Fraction(1)})
+            pinned.append(rows)
+        assert _digest(pinned) == REBALANCED_CANDIDATES[(label, k)]
+
+    def test_relation_step_on_the_walkthrough_pair(self, monkeypatch):
+        g = graph_from_monomial(PluckerMonomial(6, FIG4))
+        h = graph_from_monomial(PluckerMonomial(6, FIG1))
+        built = []
+        for name in ("edge_loop_relation", "edge_pair_relation"):
+            relation = getattr(extract, name)
+            monkeypatch.setattr(
+                extract, name,
+                lambda h, *args, relation=relation: built.append(args) or relation(h, *args),
+            )
+        out = rebalance_loops(g, h, 6)
+        # the first relation both of whose branches can trade wins the
+        # lookahead, and nothing after it is built
+        assert built == [((1, 2), 5)]
+        got = [(c, str(monomial_from_graph(a)), str(monomial_from_graph(b))) for c, a, b in out]
+        assert got == [
+            (
+                Fraction(-1),
+                "p[1,2]^2 p[1,4]^2 p[2,4]^3 p[3,5]^4 p[3,6] p[1] p[5] p[6]^4",
+                "p[1,2] p[1,3]^5 p[1,4]^4 p[2,4]^6 p[2,5]^3 p[3,5]^5 p[5]^2 p[6]^10",
+            ),
+            (
+                Fraction(1),
+                "p[1,2]^2 p[1,4]^3 p[2,4]^2 p[3,5]^4 p[3,6] p[2] p[5] p[6]^4",
+                "p[1,2] p[1,3]^5 p[1,4]^3 p[1,5] p[2,4]^7 p[2,5]^2 p[3,5]^5 p[5]^2 p[6]^10",
+            ),
+        ]
+        assert all(len(a.loop_vertices()) == 6 for _, a, _ in out)
+        total = PluckerPoly(6)
+        for coeff, a, b in out:
+            total = total + PluckerPoly.from_monomial(
+                monomial_from_graph(a) * monomial_from_graph(b), coeff
+            )
+        assert straighten(total) == straighten(PluckerMonomial(6, FIG4 + FIG1))

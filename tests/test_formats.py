@@ -23,7 +23,6 @@ from artifact.formats import (
 )
 from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
 from artifact.verifier import (
-    FactorCertificate,
     GenerationReport,
     basis_monomials,
     factor_by_linear_algebra,
@@ -150,16 +149,15 @@ class TestCertificateJson:
         inst = instance_by_label("g24")
         f = basis_monomials(inst, 2)[0]
         terms = factor_by_linear_algebra(inst, f)
-        cert = FactorCertificate("g24", f, terms)
-        data = certificate_json(cert)
-        assert list(data.keys()) == ["instance", "monomial", "terms"]
+        data = certificate_json("g24", f, terms, False)
+        assert list(data.keys()) == ["instance", "monomial", "terms", "verified"]
         assert data["monomial"] == str(f)
         assert all(
             list(t.keys()) == ["coeff", "generator", "cofactor"]
             for t in data["terms"]
         )
-        flagged = certificate_json(cert, verified=True)
-        assert flagged["verified"] is True
+        assert data["verified"] is False
+        assert certificate_json("g24", f, terms, True)["verified"] is True
 
 
 class TestReportRendering:
