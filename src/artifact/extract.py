@@ -4,20 +4,19 @@ Given a torus-invariant standard monomial f of degree k >= 2, produce an
 exact decomposition f = sum c_t * g_t * h_t with every g_t a degree-one
 zero-weight standard monomial and every h_t a degree k-1 monomial.  Most
 f are divisible by such a unit, and the divisor is picked straight from
-f's own rows, without enumerating the degree-one basis.  Otherwise the
-route is combinatorial: f is a ks-regular looped multigraph, with s the
-unit's box count over n, and a candidate subgraph of degree s is split
-off.  For s even it is s/2 of f's 2-factors; for s odd and k even, a
-matching of one 2-factor plus (s-1)/2 more; for k and s both odd, a
-perfect matching of the bipartite double cover plus 2-factors of the
-rest.  Odd cycles are repaired with signed three-term relations, then
-loops are traded against edges between candidate and cofactor until the
-candidate has the loop count of the unit shape.  Over the basis of
-g24-g27, fl311, fl411, fl412, fl421, fl511, fl521 and fl512 at k = 2-4
-and fl611 at k = 2-3, the divide path answers every element but 17, all
-in pieces with k even and s odd, so extraction reaches only that branch;
-tests call the other two directly.  A linear-algebra fallback keeps the
-contract total.
+f's own rows, without enumerating the degree-one basis.  Otherwise, when
+k is even and s (the unit's box count over n) is odd, the route is
+combinatorial: f is a ks-regular looped multigraph, and the candidate
+is a matching of one of its 2-factors plus (s-1)/2 more.  Odd cycles
+are repaired with signed three-term relations, then loops are traded
+against edges between candidate and cofactor until the candidate has
+the loop count of the unit shape.  Any other undivided f, and any f on
+which the combinatorics jam, goes to an exact linear-algebra
+factorization, so the contract stays total.  The other parities need no
+graph split in practice: for s even on the g2n family a 2-factor of the
+2k-regular loopless graph is itself a dividing unit (Petersen), and no
+measured piece with s even, or with k and s both odd, has an undivided
+basis element.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .graphs import (
     edge_pair_relation,
     graph_from_monomial,
     monomial_from_graph,
-    one_factorize_bipartite,
     two_factorize,
 )
 from .plucker import PluckerMonomial, PluckerPoly, straighten
@@ -360,97 +358,42 @@ def dividing_unit(instance: GroupInstance, f: PluckerMonomial) -> PluckerMonomia
 
 
 def _split_candidate(
-    instance: GroupInstance, f: PluckerMonomial, k: int
+    f: PluckerMonomial, k: int, s: int
 ) -> list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]]:
-    """Graph-level candidates (coeff, g, h) of the degree-k f before loop rebalancing."""
-    n = instance.n
-    s = shape_from_weight(instance, 1).boxes // n
+    """Graph-level candidates (coeff, g, h) of the degree-k f before loop rebalancing.
+
+    For k even and s odd only: f's graph is ks-regular with ks even, so it
+    has a 2-factorization.  One 2-factor with an even number of odd
+    cycles, or with a loop, is repaired by ``merge_odd_cycles``; g takes a
+    matching of each repaired branch plus (s-1)/2 more 2-factors, and h
+    the rest.
+    """
+    n = f.n
     G = graph_from_monomial(f)
     if not G.is_regular(k * s):
         raise ValueError("monomial is not torus-invariant")
-    if s % 2 == 0:
-        factors = two_factorize(G)
-        g0 = _union(n, factors[: s // 2])
-        h0 = _union(n, factors[s // 2 :])
-        return [(Fraction(1), g0, h0)]
-    if k % 2 == 0:
-        factors = two_factorize(G)
-        order = sorted(
-            range(len(factors)),
-            key=lambda i: (-len(factors[i].loop_vertices()), i),
-        )
-        pick = None
-        for idx in order:
-            comps = analyze_components(factors[idx])
-            n_odd = sum(1 for c in comps if c["kind"] == "odd_cycle")
-            if n_odd % 2 == 0 or factors[idx].loop_vertices():
-                pick = idx
-                break
-        if pick is None:
-            raise ExtractionStuck("no two-factor supports a matching")
-        others = [factors[i] for i in range(len(factors)) if i != pick]
-        out = []
-        for coeff, repaired in merge_odd_cycles(factors[pick]):
-            m = one_factor_selection(repaired)
-            rem = graph_difference(repaired, m)
-            take = (s - 1) // 2
-            g_t = _union(n, [m] + others[:take])
-            h_t = _union(n, [rem] + others[take:])
-            out.append((coeff, g_t, h_t))
-        return out
-    # both k and s odd: split through the bipartite double cover
-    bip: list[tuple[int, int]] = []
-    for a, b in G.edges:
-        if a == b:
-            bip.append((a - 1, a - 1))
-        else:
-            bip.append((a - 1, b - 1))
-            bip.append((b - 1, a - 1))
-    matchings = one_factorize_bipartite(n, n, bip)
-    chosen = None
-    if n % 2 == 0:
-        chosen = matchings[0]
-    else:
-        for mt in matchings:
-            fixed = sum(1 for l, r in mt if l == r)
-            if fixed % 2 == 1:
-                chosen = mt
-                break
-        if chosen is None:
-            raise AssertionError("some matching must fix an odd set")
-    pi = {l + 1: r + 1 for l, r in chosen}
-    sel_edges: list[Edge] = []
-    seen: set[int] = set()
-    for start in sorted(pi):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        v = pi[start]
-        while v != start:
-            cyc.append(v)
-            seen.add(v)
-            v = pi[v]
-        if len(cyc) == 1:
-            sel_edges.append((start, start))
-        elif len(cyc) == 2:
-            sel_edges.append(tuple(sorted(cyc)))  # type: ignore[arg-type]
-        else:
-            for i in range(len(cyc)):
-                sel_edges.append(tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))))
-    sel = LoopedMultigraph(n, sel_edges)
-    rest = graph_difference(G, sel)
+    factors = two_factorize(G)
+    order = sorted(
+        range(len(factors)),
+        key=lambda i: (-len(factors[i].loop_vertices()), i),
+    )
+    pick = None
+    for idx in order:
+        comps = analyze_components(factors[idx])
+        n_odd = sum(1 for c in comps if c["kind"] == "odd_cycle")
+        if n_odd % 2 == 0 or factors[idx].loop_vertices():
+            pick = idx
+            break
+    if pick is None:
+        raise ExtractionStuck("no two-factor supports a matching")
+    others = [factors[i] for i in range(len(factors)) if i != pick]
+    take = (s - 1) // 2
     out = []
-    for coeff, repaired in merge_odd_cycles(sel):
+    for coeff, repaired in merge_odd_cycles(factors[pick]):
         m = one_factor_selection(repaired)
         rem = graph_difference(repaired, m)
-        full_rem = _union(n, [rest, rem])
-        if not full_rem.is_regular(k * s - 1):
-            raise AssertionError("remainder degree drifted")
-        rfactors = two_factorize(full_rem)
-        take = (s - 1) // 2
-        g_t = _union(n, [m] + rfactors[:take])
-        h_t = _union(n, rfactors[take:])
+        g_t = _union(n, [m] + others[:take])
+        h_t = _union(n, [rem] + others[take:])
         out.append((coeff, g_t, h_t))
     return out
 
@@ -462,10 +405,11 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
     rows for a sub-multiset with the unit shape's row lengths and uniform
     content.  Every sub-multiset of a standard monomial's rows is
     standard, so the search misses no dividing basis element, and it
-    returns the same one a scan of ``degree_one_basis`` would.  Otherwise
-    the graph pipeline runs and its candidates are rebalanced and
-    straightened; if the combinatorics jam, an exact linear-algebra
-    factorization takes over so the result is always a verified identity.
+    returns the same one a scan of ``degree_one_basis`` would.  Otherwise,
+    for k even and s odd, the graph pipeline runs and its candidates are
+    rebalanced and straightened; for the other parities, or if the
+    combinatorics jam, an exact linear-algebra factorization takes over,
+    so the result is always a verified identity.
     """
     if instance.family != FAMILY_A:
         raise ValueError("extraction is defined for the type-A families")
@@ -486,11 +430,12 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
     unit = dividing_unit(instance, f)
     if unit is not None:
         return [(Fraction(1), unit, f.quotient(unit))]
-    lengths = {len(r) for r in f.factors}
-    if lengths <= {1, 2}:
+    unit_shape = shape_from_weight(instance, 1)
+    s = unit_shape.boxes // n
+    if k % 2 == 0 and s % 2 == 1 and {len(r) for r in f.factors} <= {1, 2}:
         try:
-            raw = _split_candidate(instance, f, k)
-            singles = shape_from_weight(instance, 1).row_lengths().count(1)
+            raw = _split_candidate(f, k, s)
+            singles = unit_shape.row_lengths().count(1)
             balanced: list[tuple[Fraction, LoopedMultigraph, LoopedMultigraph]] = []
             for coeff, g, h in raw:
                 for c2, g2, h2 in rebalance_loops(g, h, singles):

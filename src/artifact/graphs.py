@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .plucker import PluckerMonomial, PluckerPoly
+from .plucker import PluckerMonomial
 
 Edge = tuple[int, int]
 
@@ -118,16 +118,6 @@ def monomial_from_graph(g: LoopedMultigraph) -> PluckerMonomial:
 
 
 GraphCombo = list[tuple[Fraction, LoopedMultigraph]]
-
-
-def combo_to_poly(combo: GraphCombo) -> PluckerPoly:
-    if not combo:
-        raise ValueError("empty combination")
-    n = combo[0][1].n
-    out = PluckerPoly(n)
-    for coeff, g in combo:
-        out = out + PluckerPoly.from_monomial(monomial_from_graph(g), coeff)
-    return out
 
 
 def _sgn(x: int, y: int) -> int:

@@ -74,21 +74,6 @@ def _rank_exact(rows: list[list[int]]) -> int:
     return len(_echelon(rows)[1])
 
 
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix.
-
-    The rows stream through a :class:`RankTracker`: its mod-p rank is a
-    lower bound that settles the rank when it reaches the smaller
-    dimension, and otherwise the fraction-free recount decides.
-    """
-    if not rows:
-        return 0
-    tracker = RankTracker(len(rows[0]))
-    for row in rows:
-        tracker.add(row)
-    return tracker.exact()
-
-
 class RankTracker:
     """Incremental exact-rank oracle over Q for streamed integer rows.
 

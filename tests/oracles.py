@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from artifact.extract import degree_one_basis
-from artifact.linalg import exact_rank
-from artifact.plucker import PluckerMonomial, straighten
+from artifact.graphs import GraphCombo, monomial_from_graph
+from artifact.linalg import RankTracker
+from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
 from artifact.tableau_a import Factors, check_rows, content_vector, first_violation, row_content
 from artifact.tableau_b import _row_candidates, enumerate_standard_b, is_admissible
 from artifact.verifier import _b_units, _partitions, basis_monomials
@@ -427,6 +428,17 @@ def random_regular_union(
     return edges
 
 
+def combo_to_poly(combo: GraphCombo) -> PluckerPoly:
+    """The polynomial a signed combination of graphs stands for."""
+    if not combo:
+        raise ValueError("empty combination")
+    n = combo[0][1].n
+    out = PluckerPoly(n)
+    for coeff, g in combo:
+        out = out + PluckerPoly.from_monomial(monomial_from_graph(g), coeff)
+    return out
+
+
 def random_bipartite_regular(
     rng: random.Random, n: int, k: int
 ) -> list[tuple[int, int]]:
@@ -437,6 +449,21 @@ def random_bipartite_regular(
         rng.shuffle(perm)
         edges += [(i, perm[i]) for i in range(n)]
     return edges
+
+
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix.
+
+    The rows stream through a :class:`RankTracker`: its mod-p rank is a
+    lower bound that settles the rank when it reaches the smaller
+    dimension, and otherwise the fraction-free recount decides.
+    """
+    if not rows:
+        return 0
+    tracker = RankTracker(len(rows[0]))
+    for row in rows:
+        tracker.add(row)
+    return tracker.exact()
 
 
 def full_product_rank(instance: GroupInstance, k: int, d: int) -> tuple[int, int, str]:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from artifact.extract import (
 )
 from artifact.graphs import (
     LoopedMultigraph,
-    combo_to_poly,
     graph_from_monomial,
     monomial_from_graph,
 )
@@ -35,7 +35,7 @@ from artifact.verifier import (
     validate_certificate,
 )
 from artifact.weights import instance_by_label, shape_from_weight
-from oracles import first_dividing_unit
+from oracles import combo_to_poly, first_dividing_unit
 
 
 def graph(n, *edges):
@@ -401,19 +401,23 @@ GRAPH_ROUTE_TERMS = {
         "359d348efefeba43afd9eb9135db670e0ee0a3182b636294ccc829945167157f",
     ],
 }
-# sha256 of one [(str(coeff), g.edges, h.edges), ...] list per basis element
-REBALANCED_CANDIDATES = {
-    ("fl421", 2): "e446ab2db2f8b89808318a71f3409df979abb904a6ed7e49d3775de806b828c6",
-    ("fl411", 3): "8686fbd108a8967be1d7d186c4fe14b99afe1a631a30b223708227e5a601acdf",
-}
+# pieces with s even, or with k and s both odd: the parities that take no
+# graph split
+DIVIDED_PIECES = (
+    [(label, k) for label in ("g24", "g25", "g26", "g27") for k in (2, 3, 4)]
+    + [(label, k) for label in ("fl421", "fl521", "fl322") for k in (2, 3)]
+    + [(label, 3) for label in ("fl311", "fl411", "fl412", "fl511", "fl312")]
+    + [("fl311", 5), ("fl411", 5)]
+)
 
 
 class TestGraphRoute:
-    """Pins of the two-factorization route, the one the divide path skips.
+    """Pins of the graph route, which runs only when no unit divides f.
 
-    Every element of the measured pieces it answers sits in a piece with
-    k even and s odd (s is the unit's box count over n); the candidate
-    tests reach the other two branches of ``_split_candidate`` directly.
+    It splits only pieces with k even and s odd (s is the unit's box
+    count over n): a matching of one 2-factor plus (s-1)/2 more.  In the
+    other parities every measured basis element divides, and an undivided
+    one would go straight to linear algebra.
     """
 
     def test_fl611_certificates_match_the_benchmark_pool(self):
@@ -444,22 +448,29 @@ class TestGraphRoute:
             got.append(_digest([(str(c), str(g), str(h)) for c, g, h in terms]))
         assert got == GRAPH_ROUTE_TERMS[label]
 
-    @pytest.mark.parametrize("label, k", sorted(REBALANCED_CANDIDATES))
-    def test_split_branches_the_divide_path_skips(self, label, k):
+    def test_the_other_parities_divide(self):
+        for label, k in DIVIDED_PIECES:
+            inst = instance_by_label(label)
+            s = shape_from_weight(inst, 1).boxes // inst.n
+            assert s % 2 == 0 or k % 2 == 1, (label, k)
+            for f in basis_monomials(inst, k):
+                assert dividing_unit(inst, f) is not None, (label, k, f)
+
+    @pytest.mark.parametrize("label, k", [("fl421", 2), ("fl411", 3)])
+    def test_the_other_parities_go_to_linear_algebra(self, label, k, monkeypatch, caplog):
         inst = instance_by_label(label)
-        singles = shape_from_weight(inst, 1).row_lengths().count(1)
-        pinned = []
-        for f in basis_monomials(inst, k):
-            rows, total = [], PluckerPoly(inst.n)
-            for coeff, g, h in extract._split_candidate(inst, f, k):
-                for c2, g2, h2 in rebalance_loops(g, h, singles):
-                    assert len(g2.loop_vertices()) == singles
-                    rows.append((str(coeff * c2), g2.edges, h2.edges))
-                    product = monomial_from_graph(g2) * monomial_from_graph(h2)
-                    total = total + PluckerPoly.from_monomial(product, coeff * c2)
-            assert straighten(total) == PluckerPoly(inst.n, {f: Fraction(1)})
-            pinned.append(rows)
-        assert _digest(pinned) == REBALANCED_CANDIDATES[(label, k)]
+        f = basis_monomials(inst, k)[0]
+
+        def refuse(*args):
+            raise AssertionError("the graph split ran")
+
+        monkeypatch.setattr(extract, "dividing_unit", lambda *args: None)
+        monkeypatch.setattr(extract, "two_factorize", refuse)
+        with caplog.at_level(logging.WARNING, logger="artifact.extract"):
+            terms = extract_degree_one(inst, f)
+        assert terms == factor_by_linear_algebra(inst, f)
+        assert validate_certificate(inst, f, terms, count=2)
+        assert "jammed" not in caplog.text
 
     def test_relation_step_on_the_walkthrough_pair(self, monkeypatch):
         g = graph_from_monomial(PluckerMonomial(6, FIG4))

@@ -9,7 +9,6 @@ import pytest
 from artifact.graphs import (
     LoopedMultigraph,
     classify_two_regular,
-    combo_to_poly,
     edge_loop_relation,
     edge_pair_relation,
     graph_from_monomial,
@@ -24,6 +23,7 @@ from artifact.plucker import PluckerMonomial, straighten
 from oracles import (
     brute_classify,
     brute_two_regular_graphs,
+    combo_to_poly,
     random_bipartite_regular,
     random_regular_union,
 )

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from artifact import linalg
-from artifact.linalg import MOD_PRIME, RankTracker, _echelon, _rank_exact, exact_rank, solve_rational
-from oracles import rank_fraction, solve_gauss_jordan
+from artifact.linalg import MOD_PRIME, RankTracker, _echelon, _rank_exact, solve_rational
+from oracles import exact_rank, rank_fraction, solve_gauss_jordan
 
 
 def low_rank(rng, height, width, rank, zero_rows=0, zero_cols=0, span=3):
