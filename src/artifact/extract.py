@@ -30,7 +30,7 @@ from .graphs import (
     Edge,
     GraphCombo,
     LoopedMultigraph,
-    analyze_components,
+    classify_two_regular,
     edge_loop_relation,
     edge_pair_relation,
     graph_from_monomial,
@@ -55,24 +55,14 @@ class ExtractionStuck(RuntimeError):
 
 
 def _pick_spare_loop(comps: list[dict], banned: set[int]) -> int | None:
-    """Loop vertex to consume, preferring the least entangled component."""
-    preference = {
-        "isolated_loop": 0,
-        "path_with_one_loop": 1,
-        "even_path_loop_to_loop": 1,
-        "odd_path_loop_to_loop": 1,
-        "vertex_with_two_loops": 2,
-    }
-    best: tuple[int, int] | None = None
-    for comp in comps:
-        rank = preference.get(comp["kind"])
-        if rank is None:
-            continue
-        for a, b in comp["order"]:
-            if a == b and a not in banned:
-                if best is None or (rank, a) < best:
-                    best = (rank, a)
-    return None if best is None else best[1]
+    """Loop vertex to consume: a path end before a doubled loop, then the smallest."""
+    spare = [
+        (comp["kind"] == "vertex_with_two_loops", a)
+        for comp in comps
+        for a, b in comp["order"]
+        if a == b and a not in banned
+    ]
+    return min(spare)[1] if spare else None
 
 
 def merge_odd_cycles(g: LoopedMultigraph) -> GraphCombo:
@@ -87,7 +77,7 @@ def merge_odd_cycles(g: LoopedMultigraph) -> GraphCombo:
     done: GraphCombo = []
     while work:
         coeff, cur = work.pop()
-        comps = analyze_components(cur)
+        comps = classify_two_regular(cur)
         odd = sorted(
             comp["order"] for comp in comps if comp["kind"] == "odd_cycle"
         )
@@ -109,39 +99,20 @@ def merge_odd_cycles(g: LoopedMultigraph) -> GraphCombo:
 
 
 def one_factor_selection(g: LoopedMultigraph) -> LoopedMultigraph:
-    """Spanning degree-one subgraph of an odd-cycle-free graph.
+    """Spanning degree-one subgraph of an odd-cycle-free 2-regular graph.
 
-    Works component by component on the ordered traversals: alternate
-    edges around even cycles, keep single edges and lone loops, take one
-    loop of a doubly looped vertex, and match paths using an end loop
-    exactly when the edge count forces it.
+    Takes every other edge of each component's walk, from the first: the
+    alternate edges of an even cycle, one loop of a doubled loop, and on a
+    path both end loops when its edge count is odd, the first loop only
+    when it is even.  What is left is 1-regular too.  The graph route only
+    selects from 2-regular graphs (see ``classify_two_regular``), so any
+    other input raises ValueError; an odd cycle has no such subgraph.
     """
     chosen: list[Edge] = []
-    for comp in analyze_components(g):
-        kind, order = comp["kind"], comp["order"]
-        if kind == "even_cycle":
-            chosen.extend(order[0::2])
-        elif kind in ("single_edge", "isolated_loop"):
-            chosen.extend(order)
-        elif kind == "vertex_with_two_loops":
-            chosen.append(order[0])
-        elif kind == "even_path_loop_to_loop":
-            # order = [loop, e1..em, loop] with m even
-            chosen.append(order[0])
-            chosen.extend(order[2:-1:2])
-        elif kind == "odd_path_loop_to_loop":
-            chosen.append(order[0])
-            chosen.append(order[-1])
-            chosen.extend(order[2:-1:2])
-        elif kind == "path_with_one_loop":
-            m = len(order) - 1
-            if m % 2 == 0:
-                chosen.append(order[0])
-                chosen.extend(order[2::2])
-            else:
-                chosen.extend(order[1::2])
-        else:
-            raise ExtractionStuck(f"cannot select a matching from {kind}")
+    for comp in classify_two_regular(g):
+        if comp["kind"] == "odd_cycle":
+            raise ExtractionStuck("cannot select a matching from an odd cycle")
+        chosen.extend(comp["order"][0::2])
     out = LoopedMultigraph(g.n, chosen)
     for v, d in g.degrees().items():
         if out.degree(v) != (1 if d else 0):
@@ -379,7 +350,7 @@ def _split_candidate(
     )
     pick = None
     for idx in order:
-        comps = analyze_components(factors[idx])
+        comps = classify_two_regular(factors[idx])
         n_odd = sum(1 for c in comps if c["kind"] == "odd_cycle")
         if n_odd % 2 == 0 or factors[idx].loop_vertices():
             pick = idx

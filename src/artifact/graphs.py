@@ -393,20 +393,8 @@ def two_factorize(g: LoopedMultigraph) -> list[LoopedMultigraph]:
     return out
 
 
-TWO_REGULAR_KINDS = (
-    "even_cycle",
-    "odd_cycle",
-    "even_path_loop_to_loop",
-    "odd_path_loop_to_loop",
-    "vertex_with_two_loops",
-)
-
-
-def _trail(adj: dict[int, list[tuple[int, int]]], start: int) -> tuple[list[int], set[int]]:
-    """Walk from start along unused edges, smallest neighbour first.
-
-    Returns the vertex sequence and the ids of the edges it used.
-    """
+def _trail(adj: dict[int, list[tuple[int, int]]], start: int) -> list[int]:
+    """Vertex sequence of a walk from start along unused edges, smallest neighbour first."""
     seq, used = [start], set()
     while True:
         step = next(
@@ -414,101 +402,48 @@ def _trail(adj: dict[int, list[tuple[int, int]]], start: int) -> tuple[list[int]
             None,
         )
         if step is None:
-            return seq, used
+            return seq
         used.add(step[0])
         seq.append(step[1])
 
 
-def _component_walk(edges: list[Edge]) -> dict:
-    """Structure of one degree <= 2 component, with an ordered traversal.
-
-    Returns kind, vertex sequence, and the traversal's edge list.  Kinds
-    cover everything the pipeline meets: cycles, paths with 0..2 end
-    loops, single edges, lone loops, and a doubly looped vertex.
-    """
-    loops = [e for e in edges if e[0] == e[1]]
-    proper = [e for e in edges if e[0] != e[1]]
-    if not proper:
-        if len(loops) == 1:
-            return {"kind": "isolated_loop", "vertices": [loops[0][0]], "order": loops}
-        if len(loops) == 2 and loops[0] == loops[1]:
-            return {
-                "kind": "vertex_with_two_loops",
-                "vertices": [loops[0][0]],
-                "order": loops,
-            }
-        raise ValueError(f"unrecognized loop bundle {edges}")
-    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for idx, (a, b) in enumerate(proper):
-        adj[a].append((idx, b))
-        adj[b].append((idx, a))
-    loop_at = Counter(a for a, _ in loops)
-    if any(c > 1 for c in loop_at.values()):
-        raise ValueError("a path vertex carries two loops")
-    degree = {v: len(adj[v]) + loop_at[v] for v in adj}
-    if any(d > 2 for d in degree.values()):
-        raise ValueError("component has a vertex of degree > 2")
-    ends = sorted(v for v in adj if len(adj[v]) == 1)
-    if not ends:
-        # proper edges form a cycle; loops would push degree past 2
-        if loop_at:
-            raise ValueError("cycle vertex carries a loop")
-        seq, used = _trail(adj, min(adj))
-        if len(used) != len(proper) or seq[-1] != seq[0]:
-            raise ValueError("component is not a single cycle")
-        order = [
-            tuple(sorted((seq[i], seq[i + 1]))) for i in range(len(seq) - 1)
-        ]
-        kind = "even_cycle" if len(proper) % 2 == 0 else "odd_cycle"
-        return {"kind": kind, "vertices": seq[:-1], "order": order}
-    if len(ends) != 2:
-        raise ValueError("path component needs exactly two ends")
-    start = ends[0] if loop_at[ends[0]] >= loop_at[ends[1]] else ends[1]
-    seq, used = _trail(adj, start)
-    if len(used) != len(proper):
-        raise ValueError("component is not a single path")
-    interior_loops = [v for v in loop_at if v not in (seq[0], seq[-1])]
-    if interior_loops:
-        raise ValueError("loop on a path interior vertex")
-    n_loops = loop_at[seq[0]] + loop_at[seq[-1]]
-    order: list[Edge] = []
-    if loop_at[seq[0]]:
-        order.append((seq[0], seq[0]))
-    order.extend(tuple(sorted((seq[i], seq[i + 1]))) for i in range(len(seq) - 1))
-    if loop_at[seq[-1]]:
-        order.append((seq[-1], seq[-1]))
-    if n_loops == 2:
-        kind = (
-            "even_path_loop_to_loop"
-            if len(proper) % 2 == 0
-            else "odd_path_loop_to_loop"
-        )
-    elif n_loops == 1:
-        kind = "path_with_one_loop"
-    else:
-        kind = "single_edge" if len(proper) == 1 else "bare_path"
-    return {"kind": kind, "vertices": seq, "order": order}
-
-
-def analyze_components(g: LoopedMultigraph) -> list[dict]:
-    """Walk every component of a degree <= 2 graph."""
-    return [_component_walk(comp) for comp in g.components()]
-
-
 def classify_two_regular(g: LoopedMultigraph) -> list[dict]:
-    """Component census of a 2-regular looped multigraph.
+    """Component census of a 2-regular looped multigraph, with ordered walks.
 
     Every component of such a graph is one of five shapes: an even or odd
     cycle, a path whose ends both carry loops (even or odd edge count), or
-    a single vertex with two loops.  Anything else raises.
+    a single vertex with two loops.  These are the only graphs the graph
+    route walks: its 2-factors come from ``two_factorize``, and the edge
+    relations that repair them keep every vertex degree.  A graph with a
+    vertex of another degree raises.
+
+    Each component gives its kind, its vertex sequence and the edges in
+    walk order: a cycle from its smallest vertex, a path from its smaller
+    end (end loops first and last), always to the smallest neighbour first.
     """
     for v, d in g.degrees().items():
         if d not in (0, 2):
             raise ValueError(f"vertex {v} has degree {d}, graph is not 2-regular")
-    out = analyze_components(g)
-    for comp in out:
-        if comp["kind"] not in TWO_REGULAR_KINDS:
-            raise ValueError(f"impossible 2-regular component {comp['kind']}")
+    out = []
+    for comp in g.components():
+        loops = [a for a, b in comp if a == b]
+        adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for idx, (a, b) in enumerate(e for e in comp if e[0] != e[1]):
+            adj[a].append((idx, b))
+            adj[b].append((idx, a))
+        if not adj:
+            out.append({"kind": "vertex_with_two_loops", "vertices": loops[:1], "order": comp})
+            continue
+        # degree 2 leaves a cycle, or a path whose two ends carry the loops
+        seq = _trail(adj, min(loops or adj))
+        order = [(min(p), max(p)) for p in zip(seq, seq[1:])]
+        even = len(order) % 2 == 0
+        if loops:
+            kind = "even_path_loop_to_loop" if even else "odd_path_loop_to_loop"
+            order = [(seq[0], seq[0]), *order, (seq[-1], seq[-1])]
+        else:
+            kind, seq = ("even_cycle" if even else "odd_cycle"), seq[:-1]
+        out.append({"kind": kind, "vertices": seq, "order": order})
     return out
 
 

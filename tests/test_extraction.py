@@ -25,6 +25,7 @@ from artifact.extract import (
 )
 from artifact.graphs import (
     LoopedMultigraph,
+    classify_two_regular,
     graph_from_monomial,
     monomial_from_graph,
 )
@@ -35,7 +36,7 @@ from artifact.verifier import (
     validate_certificate,
 )
 from artifact.weights import instance_by_label, shape_from_weight
-from oracles import combo_to_poly, first_dividing_unit
+from oracles import brute_two_regular_graphs, combo_to_poly, first_dividing_unit
 
 
 def graph(n, *edges):
@@ -47,9 +48,10 @@ class TestOneFactorSelection:
         out = one_factor_selection(graph(4, (1, 2), (2, 3), (3, 4), (1, 4)))
         assert out.edges in ([(1, 2), (3, 4)], [(1, 4), (2, 3)])
 
-    def test_single_edge_and_lone_loop_pass_through(self):
-        out = one_factor_selection(graph(4, (1, 2), (3, 3)))
-        assert out.edges == [(1, 2), (3, 3)]
+    def test_non_two_regular_input_rejected(self):
+        for g in (graph(4, (1, 2), (3, 3)), graph(3, (1, 1), (1, 2), (2, 3))):
+            with pytest.raises(ValueError, match="2-regular"):
+                one_factor_selection(g)
 
     def test_doubly_looped_vertex_keeps_one_loop(self):
         out = one_factor_selection(graph(1, (1, 1), (1, 1)))
@@ -63,24 +65,33 @@ class TestOneFactorSelection:
         out = one_factor_selection(graph(2, (1, 1), (1, 2), (2, 2)))
         assert out.edges == [(1, 1), (2, 2)]
 
-    def test_one_loop_path_uses_the_loop_only_when_forced(self):
-        forced = one_factor_selection(graph(3, (1, 1), (1, 2), (2, 3)))
-        assert forced.edges == [(1, 1), (2, 3)]
-        free = one_factor_selection(graph(2, (1, 1), (1, 2)))
-        assert free.edges == [(1, 2)]
-
     def test_composite_graph_is_covered_once(self):
         g = graph(
-            9,
+            12,
             (1, 2), (2, 3), (3, 4), (1, 4),
-            (5, 6),
-            (7, 7),
-            (8, 8), (8, 8),
+            (5, 5), (5, 6), (6, 7), (7, 7),
+            (8, 8), (8, 9), (9, 10), (10, 11), (11, 11),
+            (12, 12), (12, 12),
         )
         out = one_factor_selection(g)
-        for v in range(1, 9):
-            assert out.degree(v) == 1
-        assert out.degree(9) == 0
+        assert out.edges == [
+            (1, 2), (3, 4), (5, 5), (6, 7), (8, 8), (9, 10), (11, 11), (12, 12),
+        ]
+        assert out.is_regular(1)
+        assert graph_difference(g, out).is_regular(1)
+
+    def test_selection_and_rest_are_one_regular_on_the_census(self):
+        # every odd-cycle-free 2-regular multigraph on at most 5 vertices
+        count = 0
+        for edges in brute_two_regular_graphs(5):
+            g = LoopedMultigraph(5, list(edges))
+            if any(c["kind"] == "odd_cycle" for c in classify_two_regular(g)):
+                continue
+            out = one_factor_selection(g)
+            for part in (out, graph_difference(g, out)):
+                assert part.degrees() == {v: d // 2 for v, d in g.degrees().items()}
+            count += 1
+        assert count == 701
 
     def test_odd_cycle_has_no_selection(self):
         with pytest.raises(ExtractionStuck):

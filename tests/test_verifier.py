@@ -1,5 +1,6 @@
 """Generation-degree certification, type-B splitting, duality, suites."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -354,6 +355,7 @@ TRIPPED_CHECKS = textwrap.dedent(
     import sys
     from fractions import Fraction
 
+    import artifact.extract as extract
     import artifact.graphs as graphs
     import artifact.plucker as plucker
     import artifact.verifier as verifier
@@ -370,6 +372,7 @@ TRIPPED_CHECKS = textwrap.dedent(
     g24 = instance_by_label("g24")
     target = verifier.basis_monomials(g24, 2)[0]
     matchings = graphs.one_factorize_bipartite
+    square = LoopedMultigraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     checks = {
         "integral row": lambda: _residue_row(half, {mono.factors}, {}),
         "in piece": lambda: _residue_row(whole, set(), {}),
@@ -381,11 +384,16 @@ TRIPPED_CHECKS = textwrap.dedent(
         "shuffle pool": lambda: plucker._shuffle_rewrite((2, 3), (2, 2)),
         "shuffle identity": lambda: plucker._shuffle_rewrite((1, 3), (1, 2)),
         "integral columns": lambda: verifier.factor_by_linear_algebra(g24, target),
+        "1-regular selection": lambda: extract.one_factor_selection(square),
     }
     verifier.straighten = lambda poly: PluckerPoly.from_monomial(target, Fraction(1, 2))
     plucker._pair_rewrite = lambda upper, lower: ((1, upper, lower),)
     plucker._sort_sign = lambda seq: (0, ())
     graphs.one_factorize_bipartite = lambda *a: [m[:-1] for m in matchings(*a)]
+    # the square's edges in sorted order are no walk: every other one is (1, 2), (2, 3)
+    extract.classify_two_regular = lambda g: [
+        {"kind": "even_cycle", "vertices": [1, 2, 3, 4], "order": g.edges}
+    ]
     for name, check in checks.items():
         try:
             check()
@@ -405,5 +413,17 @@ def test_invariant_checks_survive_optimized_mode():
     assert done.stdout.splitlines() == [
         "integral row", "in piece", "extraction identity",
         "measure decrease", "2-regular factor", "shuffle pool", "shuffle identity",
-        "integral columns",
+        "integral columns", "1-regular selection",
     ]
+
+
+def test_program_has_no_assert_statements():
+    # checks that decide verdicts are explicit raises: `python -O` strips asserts
+    package = Path(artifact.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
