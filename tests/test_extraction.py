@@ -48,8 +48,12 @@ class TestOneFactorSelection:
         out = one_factor_selection(graph(4, (1, 2), (2, 3), (3, 4), (1, 4)))
         assert out.edges in ([(1, 2), (3, 4)], [(1, 4), (2, 3)])
 
-    def test_non_two_regular_input_rejected(self):
-        for g in (graph(4, (1, 2), (3, 3)), graph(3, (1, 1), (1, 2), (2, 3))):
+    def test_single_edge_and_lone_loop_rejected(self):
+        with pytest.raises(ValueError, match="2-regular"):
+            one_factor_selection(graph(4, (1, 2), (3, 3)))
+
+    def test_one_loop_path_rejected(self):
+        for g in (graph(3, (1, 1), (1, 2), (2, 3)), graph(2, (1, 1), (1, 2))):
             with pytest.raises(ValueError, match="2-regular"):
                 one_factor_selection(g)
 
