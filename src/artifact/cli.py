@@ -287,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # the strip table recurses once per value, so a huge n runs out of stack
+        # the strip table recurses once per value (_completions) and once per
+        # part (_add_strip), so a huge n runs out of stack
         print(f"error: problem too large: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from operator import neg
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -138,6 +140,15 @@ def _measure(factors: Factors) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(factors))
 
 
+def _heap_key(factors: Factors) -> tuple[int, ...]:
+    """The measure negated entrywise, so the min-heap pops the largest first.
+
+    A rewrite keeps the row lengths, so a monomial and its rewrites have
+    measures of one length, whose order negation exactly reverses.
+    """
+    return tuple(map(neg, itertools.chain.from_iterable(factors)))
+
+
 def _sort_sign(seq: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Sign of the permutation sorting ``seq``; 0 on repeated entries."""
     arr = list(seq)
@@ -222,40 +233,43 @@ def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
     Non-standard monomials are processed largest-measure first so that
     coefficients coalesce before further rewriting.  Each relation step
     replaces two rows by strictly measure-smaller rows (checked, also
-    under ``python -O``), which bounds the whole loop.
+    under ``python -O``), which bounds the whole loop.  The relations
+    have integer signs, so the loop runs on integers: the input scaled
+    by the lcm of its denominators, divided back out at the end.
     """
     if isinstance(p, PluckerMonomial):
         p = PluckerPoly.from_monomial(p)
-    out: dict[Factors, Fraction] = {}
-    pending: dict[Factors, Fraction] = {}
+    scale = math.lcm(*(coeff.denominator for _, coeff in p.items()))
+    out: dict[Factors, int] = {}
+    pending: dict[Factors, int] = {}
     heap: list[tuple[tuple[int, ...], Factors]] = []
     for mono, coeff in p.items():
         _validate_profile(mono.factors)
-        pending[mono.factors] = pending.get(mono.factors, Fraction(0)) + coeff
-        heapq.heappush(heap, (tuple(-e for e in _measure(mono.factors)), mono.factors))
+        scaled = coeff.numerator * (scale // coeff.denominator)
+        pending[mono.factors] = pending.get(mono.factors, 0) + scaled
+        heapq.heappush(heap, (_heap_key(mono.factors), mono.factors))
     while heap:
-        _, fac = heapq.heappop(heap)
+        key, fac = heapq.heappop(heap)
         coeff = pending.pop(fac, None)
-        if coeff is None or coeff == 0:
+        if not coeff:
             continue
         idx = first_violation(fac)
         if idx is None:
-            out[fac] = out.get(fac, Fraction(0)) + coeff
+            out[fac] = out.get(fac, 0) + coeff
             continue
         upper, lower = fac[idx], fac[idx + 1]
         rest = fac[:idx] + fac[idx + 2 :]
-        old_measure = _measure(fac)
         for sign, row1, row2 in _pair_rewrite(upper, lower):
             nxt = canonical_rows(rest + (row1, row2))
-            measure = _measure(nxt)
-            if not measure < old_measure:
+            nxt_key = _heap_key(nxt)
+            if not nxt_key > key:
                 raise AssertionError("rewrite must lower the measure")
             seen = nxt in pending
-            pending[nxt] = pending.get(nxt, Fraction(0)) + sign * coeff
+            pending[nxt] = pending.get(nxt, 0) + sign * coeff
             if not seen:
-                heapq.heappush(heap, (tuple(-e for e in measure), nxt))
+                heapq.heappush(heap, (nxt_key, nxt))
     return PluckerPoly(
-        p.n, {PluckerMonomial(p.n, fac): c for fac, c in out.items() if c}
+        p.n, {PluckerMonomial(p.n, fac): Fraction(c, scale) for fac, c in out.items() if c}
     )
 
 

@@ -4,8 +4,9 @@ Both families are checked split first, through one memoized splitter: a
 basis element of the target graded piece that divides into lower-degree
 basis elements is itself a product of them, so it lies in the span with
 no algebra.  In type A the units of an element are its rows; the unsplit
-residue goes to linear algebra, where non-standard products are
-straightened, projected onto the residue coordinates and rank-tracked.
+residue goes to linear algebra, where non-standard products, those one
+row exchange away from a residue element first, are straightened,
+projected onto the residue coordinates and rank-tracked.
 A pass is certified by the explicit splits plus a full modular rank on
 the residue, a fail by an exact recount of the residue projection.  In
 type B the units are intact row pairs and spin rows, and the check
@@ -20,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .linalg import RankTracker, solve_rational
 from .plucker import (
@@ -168,21 +169,6 @@ def unit_splitter(
     return split
 
 
-def split_residue(
-    basis: list[PluckerMonomial], k: int, lower: dict[int, list[PluckerMonomial]]
-) -> list[PluckerMonomial]:
-    """The degree-k basis elements that are no product of lower ones.
-
-    ``lower`` maps each generator degree j to the degree-j basis; the
-    units are rows.  The quotient of a standard zero-weight monomial by a
-    standard zero-weight divisor is again one of degree k - j, since
-    column lengths add up across degrees, so the splitter finds every
-    split.  Returns the unsplit residue in basis order.
-    """
-    split = unit_splitter({j: [m.factors for m in monos] for j, monos in lower.items()})
-    return [m for m in basis if split(m.factors, k) is None]
-
-
 def _residue_row(
     poly: PluckerPoly, piece: set[Factors], index: dict[Factors, int]
 ) -> list[int]:
@@ -205,13 +191,14 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
     A basis element that is a product of basis monomials of degree <= d
     is itself a standard product, so its coordinate row is a unit vector
     and it lies in the span with no algebra.  The remaining residue R is
-    settled by linear algebra on the non-standard products only (the
-    standard ones are those unit vectors, zero on R): each is straightened
-    and projected onto R, nearest residue element first, and streamed
-    through an incremental rank tracker that stops once the residue rank
-    is full.  The span is the split unit vectors plus the projected rows,
-    so a full modular residue rank certifies a pass, and a failing verdict
-    is an exact recount of the projection.
+    settled by linear algebra on non-standard products only (the standard
+    ones are those unit vectors, zero on R): each is straightened,
+    projected onto R and streamed through an incremental rank tracker
+    that stops once the residue rank is full.  The products one exchange
+    away from a residue element come first, then every product of the
+    schedule.  The span is the split unit vectors plus the projected
+    rows, so a full modular residue rank certifies a pass, and a failing
+    verdict is an exact recount of the projection of every product.
     """
     if instance.family != FAMILY_A:
         raise ValueError("use check_typeB_factorization for type B")
@@ -242,50 +229,101 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
             f"{label} k={k} d={d}: about {est} products x {dim} basis elements "
             f"exceeds the budget of {BUDGET_ENTRIES} matrix entries"
         )
-    basis_k = basis_monomials(instance, k)
-    lower = {j: basis_monomials(instance, j) for j in sizes}
+    basis_k = [m.factors for m in basis_monomials(instance, k)]
+    lower = {j: [m.factors for m in basis_monomials(instance, j)] for j in sizes}
     if len(basis_k) != dim or any(len(lower[j]) != c for j, c in sizes.items()):
         raise AssertionError("a basis enumeration disagrees with its count")
-    residue = [m.factors for m in split_residue(basis_k, k, lower)]
+    # the units are rows: the quotient of a standard zero-weight monomial
+    # by a standard zero-weight divisor is again one of lower degree, since
+    # column lengths add up across degrees, so the splitter finds every split
+    split = unit_splitter(lower)
+    residue = [f for f in basis_k if split(f, k) is None]
+    rank = dim - len(residue)
     if residue:
-        rank = dim - len(residue) + _residue_rank(instance.n, basis_k, residue, lower, schedule)
-    else:
-        rank = dim
+        candidates = itertools.chain(
+            _residue_neighbours(residue, lower, split, k), _schedule_products(lower, schedule)
+        )
+        rank += _residue_rank(instance.n, set(basis_k), residue, candidates)
     return GenerationReport(label, k, d, dim, rank, "pass" if rank == dim else "fail")
 
 
-def _residue_rank(
-    n: int,
-    basis: list[PluckerMonomial],
+def _residue_neighbours(
     residue: list[Factors],
-    lower: dict[int, list[PluckerMonomial]],
-    schedule: list[tuple[int, ...]],
-) -> int:
-    """Exact rank of the non-standard products projected onto the residue."""
-    products: set[Factors] = set()
+    lower: dict[int, list[Factors]],
+    split: Callable[[tuple, int], list[tuple] | None],
+    k: int,
+) -> Iterator[Factors]:
+    """Non-standard products one row exchange away from a residue element.
+
+    For a residue element r, two of its rows a and b give way to rows x
+    and y of the same lengths with the same entries between them, both
+    rows of lower basis elements.  Straightening such a product trades
+    entries between x and y, so it tends to reach r.  The pair must hold
+    every row of r that no lower basis element has, and a product is
+    kept only when it is non-standard and ``split`` divides it into lower
+    basis pieces, which makes it a genuine product.  Each is yielded once.
+    """
+    known = {row for pieces in lower.values() for piece in pieces for row in piece}
+    # a row is strictly increasing, so its set of entries determines it
+    by_entries = {frozenset(row): row for row in known}
+    tried: set[Factors] = set()
+    for r in residue:
+        foreign = tuple(row for row in r if row not in known)
+        if len(foreign) > 2:
+            continue
+        # the pair is the foreign rows plus rows of r that lower elements have
+        base = divide_rows(r, foreign)
+        for extra in itertools.combinations_with_replacement(
+            dict.fromkeys(base), 2 - len(foreign)
+        ):
+            rest = divide_rows(base, extra)
+            if rest is None:
+                continue
+            a, b = canonical_rows(foreign + extra)
+            pool, both = frozenset(a) | frozenset(b), frozenset(a) & frozenset(b)
+            for pick in itertools.combinations(sorted(pool - both), len(a) - len(both)):
+                x = by_entries.get(both.union(pick))
+                y = by_entries.get(pool.difference(pick))
+                # x = a or x = b gives r back
+                if x is None or y is None or x in (a, b):
+                    continue
+                product = canonical_rows(rest + (x, y))
+                if product in tried:
+                    continue
+                tried.add(product)
+                if not rows_standard(product) and split(product, k) is not None:
+                    yield product
+
+
+def _schedule_products(
+    lower: dict[int, list[Factors]], schedule: list[tuple[int, ...]]
+) -> Iterator[Factors]:
+    """Every product of lower basis elements over the schedule, in order."""
     for parts in schedule:
         pools = [
-            itertools.combinations_with_replacement([m.factors for m in lower[j]], c)
+            itertools.combinations_with_replacement(lower[j], c)
             for j, c in sorted(Counter(parts).items())
         ]
         for pick in itertools.product(*pools):
-            rows = [r for group in pick for piece in group for r in piece]
-            products.add(canonical_rows(rows))
-    targets = [Counter(r) for r in residue]
+            yield canonical_rows([r for group in pick for piece in group for r in piece])
 
-    def nearest(factors: Factors) -> int:
-        """Fewest rows the product has outside some residue element."""
-        rows = Counter(factors)
-        shared = max(
-            sum(min(c, rows.get(r, 0)) for r, c in t.items()) for t in targets
-        )
-        return len(factors) - shared
 
-    piece = {m.factors for m in basis}
+def _residue_rank(
+    n: int, piece: set[Factors], residue: list[Factors], candidates: Iterable[Factors]
+) -> int:
+    """Exact rank of the non-standard candidates projected onto the residue.
+
+    Repeated and standard candidates are passed over.  The stream stops at
+    full modular rank; otherwise every candidate has been added and the
+    tracker recounts them exactly.
+    """
     index = {r: i for i, r in enumerate(residue)}
     tracker = RankTracker(len(residue))
-    nonstandard = [f for f in products if not rows_standard(f)]
-    for factors in sorted(nonstandard, key=lambda f: (nearest(f), f)):
+    seen: set[Factors] = set()
+    for factors in candidates:
+        if factors in seen or rows_standard(factors):
+            continue
+        seen.add(factors)
         row = _residue_row(straighten(PluckerMonomial(n, factors)), piece, index)
         if any(row):
             tracker.add(row)

@@ -18,9 +18,9 @@ from artifact.extract import degree_one_basis
 from artifact.graphs import GraphCombo, monomial_from_graph
 from artifact.linalg import RankTracker
 from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
-from artifact.tableau_a import Factors, check_rows, content_vector, first_violation, row_content
+from artifact.tableau_a import Factors, canonical_rows, check_rows, content_vector, first_violation, row_content
 from artifact.tableau_b import _row_candidates, enumerate_standard_b, is_admissible
-from artifact.verifier import _b_units, _partitions, basis_monomials
+from artifact.verifier import _b_units, _partitions, basis_monomials, unit_splitter
 from artifact.weights import FAMILY_B, GroupInstance, ShapeA, ShapeB, shape_from_weight
 
 
@@ -496,6 +496,67 @@ def full_product_rank(instance: GroupInstance, k: int, d: int) -> tuple[int, int
                 row[index[term]] = int(coeff)
             rows.append(row)
     rank = exact_rank(rows) if rows and dim else 0
+    return dim, rank, "pass" if rank == dim else "fail"
+
+
+def split_residue(
+    basis: list[PluckerMonomial], k: int, lower: dict[int, list[PluckerMonomial]]
+) -> list[PluckerMonomial]:
+    """The degree-k basis elements that are no product of lower ones.
+
+    ``lower`` maps each generator degree j to the degree-j basis; the
+    units are rows.  Returns the unsplit residue in basis order.
+    """
+    split = unit_splitter({j: [m.factors for m in monos] for j, monos in lower.items()})
+    return [m for m in basis if split(m.factors, k) is None]
+
+
+def nearest_first_rank(instance: GroupInstance, k: int, d: int) -> tuple[int, int, str]:
+    """(dim, rank, verdict) by the split-first route that scores every product first.
+
+    This is the route ``check_generation`` once took: split off the basis
+    elements that are products, build every product of the schedule up
+    front, sort the non-standard ones by how few rows they have outside
+    their nearest residue element, and stream them through a rank tracker
+    that stops at full residue rank or recounts exactly.
+    """
+    basis_k = basis_monomials(instance, k)
+    dim = len(basis_k)
+    if k <= d:
+        return dim, dim, "pass"
+    lower = {j: basis_monomials(instance, j) for j in range(1, min(d, k - 1) + 1)}
+    residue = [m.factors for m in split_residue(basis_k, k, lower)]
+    if not residue:
+        return dim, dim, "pass"
+    products: set[Factors] = set()
+    for parts in _partitions(k, min(d, k - 1)):
+        pools = [
+            itertools.combinations_with_replacement([m.factors for m in lower[j]], c)
+            for j, c in sorted(Counter(parts).items())
+        ]
+        for pick in itertools.product(*pools):
+            products.add(canonical_rows([r for group in pick for piece in group for r in piece]))
+    targets = [Counter(r) for r in residue]
+
+    def nearest(factors: Factors) -> int:
+        rows = Counter(factors)
+        shared = max(sum(min(c, rows.get(r, 0)) for r, c in t.items()) for t in targets)
+        return len(factors) - shared
+
+    index = {r: i for i, r in enumerate(residue)}
+    tracker = RankTracker(len(residue))
+    nonstandard = [f for f in products if first_violation(f) is not None]
+    for factors in sorted(nonstandard, key=lambda f: (nearest(f), f)):
+        row = [0] * len(residue)
+        for term, coeff in straighten(PluckerMonomial(instance.n, factors)).items():
+            assert coeff.denominator == 1
+            if term.factors in index:
+                row[index[term.factors]] = int(coeff)
+        if any(row):
+            tracker.add(row)
+            if tracker.rank_lower_bound == len(residue):
+                break
+    rank = dim - len(residue) + tracker.exact()
     return dim, rank, "pass" if rank == dim else "fail"
 
 

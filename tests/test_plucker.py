@@ -169,6 +169,32 @@ class TestStraighten:
             assert eval_on_matrix(p, mat) == eval_on_matrix(out, mat)
 
 
+@pytest.mark.parametrize("label", ["g36", "g26", "fl511", "fl412"])
+def test_straighten_commutes_with_fraction_scalars(label):
+    inst = instance_by_label(label)
+    units = [
+        PluckerMonomial(inst.n, rows)
+        for rows in enumerate_standard(shape_from_weight(inst, 1), inst.n, "uniform")
+    ]
+    rng = random.Random(label)
+    scalars = [Fraction(-3), Fraction(5, 2), Fraction(-2, 3), Fraction(7, 6)]
+
+    def product() -> PluckerMonomial:
+        picks = [rng.choice(units) for _ in range(rng.randint(2, 3))]
+        return PluckerMonomial(inst.n, tuple(r for unit in picks for r in unit.factors))
+
+    for _ in range(6):
+        p, q = product(), product()
+        plain = straighten(p)
+        for c in scalars:
+            scaled = straighten(PluckerPoly.from_monomial(p, c))
+            assert scaled == plain * c
+            assert all(type(coeff) is Fraction for _, coeff in scaled.items())
+        # mixed denominators: the loop runs at their lcm
+        mixed = PluckerPoly.from_monomial(p, scalars[1]) + PluckerPoly.from_monomial(q, scalars[2])
+        assert straighten(mixed) == plain * scalars[1] + straighten(q) * scalars[2]
+
+
 class TestEvaluation:
     def test_unit_minor(self):
         matrix = [[1, 0], [0, 1], [0, 0], [0, 0]]

@@ -14,6 +14,7 @@ import pytest
 import artifact
 import artifact.verifier as verifier
 from artifact.plucker import MinorTable, PluckerMonomial, eval_on_matrix, seeded_matrices
+from artifact.tableau_a import canonical_rows, rows_standard
 from artifact.tableau_b import enumerate_standard_b
 from artifact.verifier import (
     _b_units,
@@ -24,11 +25,11 @@ from artifact.verifier import (
     factor_by_linear_algebra,
     run_instance_check,
     run_paper_suite,
-    split_residue,
+    unit_splitter,
     validate_certificate,
 )
 from artifact.weights import FAMILY_B, GroupInstance, instance_by_label, shape_from_weight
-from oracles import full_product_rank, unit_split_count
+from oracles import full_product_rank, nearest_first_rank, split_residue, unit_split_count
 
 ORACLE_GRID = (
     [("g24", k, 1) for k in (2, 3, 4)]
@@ -38,6 +39,12 @@ ORACLE_GRID = (
     + [("fl311", k, 1) for k in (2, 3, 5)]
     + [("fl411", k, 1) for k in (2, 3)]
     + [("fl412", 2, 1), ("fl421", 2, 1), ("fl511", 2, 1), ("fl322", 3, 1)]
+)
+
+NEAREST_FIRST_GRID = (
+    [("g36", k, 1) for k in (2, 3, 4)]
+    + [("fl511", 3, 1), ("fl611", 2, 1), ("fl512", 2, 1), ("g27", 3, 1)]
+    + [("g46", 4, d) for d in (1, 2, 3)]
 )
 
 UNIT_SPLIT_GRID = (
@@ -108,6 +115,40 @@ class TestCheckGeneration:
         inst = instance_by_label(label)
         report = check_generation(inst, k, d)
         assert (report.dim, report.rank, report.verdict) == full_product_rank(inst, k, d)
+
+    @pytest.mark.parametrize("label, k, d", NEAREST_FIRST_GRID)
+    def test_matches_the_nearest_first_oracle(self, label, k, d):
+        inst = instance_by_label(label)
+        report = check_generation(inst, k, d)
+        assert (report.dim, report.rank, report.verdict) == nearest_first_rank(inst, k, d)
+
+    def test_passes_straighten_only_a_few_products(self, monkeypatch):
+        calls = []
+        straighten = verifier.straighten
+        monkeypatch.setattr(verifier, "straighten", lambda p: calls.append(p) or straighten(p))
+        assert check_generation(instance_by_label("fl511"), 3, 1).passed
+        assert len(calls) == 8
+        calls.clear()
+        assert check_generation(instance_by_label("fl611"), 2, 1).passed
+        assert len(calls) <= 15
+
+    @pytest.mark.parametrize(
+        "label, k, d, count",
+        [("fl511", 3, 1, 8), ("fl611", 2, 1, 15), ("fl512", 2, 1, 2), ("g36", 4, 1, 0)],
+    )
+    def test_neighbours_are_products_of_lower_basis_elements(self, label, k, d, count):
+        inst = instance_by_label(label)
+        lower = {j: [m.factors for m in basis_monomials(inst, j)] for j in range(1, d + 1)}
+        split = unit_splitter(lower)
+        residue = [m.factors for m in basis_monomials(inst, k) if split(m.factors, k) is None]
+        neighbours = list(verifier._residue_neighbours(residue, lower, split, k))
+        assert len(set(neighbours)) == len(neighbours) == count
+        degree = {piece: j for j, pieces in lower.items() for piece in pieces}
+        for product in neighbours:
+            assert not rows_standard(product)
+            pieces = split(product, k)
+            assert canonical_rows(r for piece in pieces for r in piece) == product
+            assert sum(degree[piece] for piece in pieces) == k
 
     @pytest.mark.parametrize(
         "label, k, d, size",
