@@ -125,17 +125,11 @@ def graph_difference(g: LoopedMultigraph, sub: LoopedMultigraph) -> LoopedMultig
     left.subtract(Counter(sub.edges))
     if any(c < 0 for c in left.values()):
         raise ValueError("subtrahend is not a subgraph")
-    edges: list[Edge] = []
-    for e, c in left.items():
-        edges.extend([e] * c)
-    return LoopedMultigraph(g.n, edges)
+    return LoopedMultigraph(g.n, list(left.elements()))
 
 
 def _union(n: int, parts: list[LoopedMultigraph]) -> LoopedMultigraph:
-    edges: list[Edge] = []
-    for p in parts:
-        edges.extend(p.edges)
-    return LoopedMultigraph(n, edges)
+    return LoopedMultigraph(n, [e for p in parts for e in p.edges])
 
 
 def _trade(
@@ -325,7 +319,7 @@ def dividing_unit(instance: GroupInstance, f: PluckerMonomial) -> PluckerMonomia
     picked: list[tuple[tuple[int, ...], int]] = []
     if not _take_rows(0, rows, mults, idx_left, need_len, need_idx, picked):
         return None
-    return PluckerMonomial(n, tuple(row for row, take in picked for _ in range(take)))
+    return PluckerMonomial.trusted(n, tuple(row for row, take in picked for _ in range(take)))
 
 
 def _split_candidate(
@@ -428,12 +422,8 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
 
 
 def _validate_terms(f: PluckerMonomial, terms: CertTermList) -> None:
-    total = PluckerPoly(f.n)
-    for coeff, g, h in terms:
-        if not g.is_standard:
-            raise AssertionError("generator must be standard")
-        total = total + PluckerPoly.from_monomial(g * h, coeff)
-    lhs = straighten(total)
-    rhs = straighten(PluckerPoly.from_monomial(f))
-    if lhs != rhs:
+    if not all(g.is_standard for _, g, _ in terms):
+        raise AssertionError("generator must be standard")
+    total = sum((PluckerPoly.from_monomial(g * h, c) for c, g, h in terms), PluckerPoly(f.n))
+    if straighten(total) != straighten(f):
         raise AssertionError("extraction identity failed straightening check")

@@ -50,21 +50,16 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
 
 
 def int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix.
+    """Determinant of a square integer matrix, by the fraction-free echelon.
 
-    Sizes 1 and 2 (nearly every Plücker minor) are read off in closed
-    form; larger matrices go through the fraction-free echelon.
+    ``plucker.MinorTable``, its only caller, reads 1 x 1 and 2 x 2 minors
+    off in closed form and sends only the larger ones here.
     """
     size = len(rows)
     if size == 0:
         return 1
     if any(len(r) != size for r in rows):
         raise ValueError("matrix is not square")
-    if size == 1:
-        return int(rows[0][0])
-    if size == 2:
-        (a, b), (c, d) = rows
-        return int(a) * int(d) - int(b) * int(c)
     m, pivots, sign = _echelon(rows)
     return sign * m[-1][-1] if len(pivots) == size else 0
 

@@ -25,15 +25,26 @@ from .tableau_a import Factors, canonical_rows, check_rows, divide_rows, first_v
 
 @dataclass(frozen=True)
 class PluckerMonomial:
-    """Product of Plücker coordinates, canonically arranged."""
+    """Product of Plücker coordinates, canonically arranged and checked.
+
+    The constructor sorts and checks rows from outside the program
+    (``formats.parse_poly``, ``graphs.monomial_from_graph``).  Rows the
+    program builds canonical and checked come in through ``trusted``.
+    """
 
     n: int
     factors: Factors
 
     def __post_init__(self) -> None:
-        rows = canonical_rows(self.factors)
-        object.__setattr__(self, "factors", rows)
-        check_rows(rows, self.n)
+        object.__setattr__(self, "factors", canonical_rows(self.factors))
+        check_rows(self.factors, self.n)
+
+    @classmethod
+    def trusted(cls, n: int, rows: Factors) -> "PluckerMonomial":
+        """Wrap rows that are already canonical and pass ``check_rows``."""
+        mono = object.__new__(cls)
+        mono.__dict__.update(n=n, factors=rows)
+        return mono
 
     @property
     def is_standard(self) -> bool:
@@ -42,7 +53,7 @@ class PluckerMonomial:
     def __mul__(self, other: "PluckerMonomial") -> "PluckerMonomial":
         if self.n != other.n:
             raise ValueError("cannot multiply monomials of different rank")
-        return PluckerMonomial(self.n, self.factors + other.factors)
+        return PluckerMonomial.trusted(self.n, canonical_rows(self.factors + other.factors))
 
     def divides(self, other: "PluckerMonomial") -> bool:
         """Sub-multiset test on factors."""
@@ -53,7 +64,7 @@ class PluckerMonomial:
         rows = divide_rows(self.factors, other.factors)
         if rows is None:
             raise ValueError("quotient by a non-divisor")
-        return PluckerMonomial(self.n, rows)
+        return PluckerMonomial.trusted(self.n, rows)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -269,42 +280,44 @@ def straighten(p: PluckerPoly | PluckerMonomial) -> PluckerPoly:
             if not seen:
                 heapq.heappush(heap, (nxt_key, nxt))
     return PluckerPoly(
-        p.n, {PluckerMonomial(p.n, fac): Fraction(c, scale) for fac, c in out.items() if c}
+        p.n, {PluckerMonomial.trusted(p.n, fac): Fraction(c, scale) for fac, c in out.items() if c}
     )
 
 
-class MinorTable:
+class MinorTable(dict):
     """The minors of one integer matrix that Plücker coordinates read.
 
     A length-t tuple evaluates as the t x t minor on those rows and the
-    first t columns; singletons therefore read the first column.  Each
-    minor is computed once per table, however many monomials share it,
-    and all arithmetic is exact.
+    first t columns; singletons therefore read the first column.  The
+    table is a dict of minors that fills itself on a miss, so each is
+    computed once, however many monomials share it.  Minors of size 1
+    and 2 are read off the rows, larger ones go through ``int_det``; a
+    tuple wider than the matrix is checked here and raises.
     """
 
-    __slots__ = ("rows", "width", "_minors")
+    __slots__ = ("rows", "width")
 
     def __init__(self, matrix) -> None:
         self.rows = [list(map(int, row)) for row in matrix]
         self.width = len(self.rows[0]) if self.rows else 0
-        self._minors: dict[tuple[int, ...], int] = {}
+
+    def __missing__(self, tup: tuple[int, ...]) -> int:
+        t = len(tup)
+        if t > self.width:
+            raise ValueError(f"tuple {tup} needs {t} columns, matrix has {self.width}")
+        if t == 1:
+            minor = self.rows[tup[0] - 1][0]
+        elif t == 2:
+            r, s = self.rows[tup[0] - 1], self.rows[tup[1] - 1]
+            minor = r[0] * s[1] - r[1] * s[0]
+        else:
+            minor = int_det([self.rows[i - 1][:t] for i in tup])
+        self[tup] = minor
+        return minor
 
     def monomial(self, mono: PluckerMonomial) -> int:
         """Product of the minors of the monomial's factors."""
-        value = 1
-        for tup in mono.factors:
-            minor = self._minors.get(tup)
-            if minor is None:
-                if len(tup) > self.width:
-                    raise ValueError(
-                        f"tuple {tup} needs {len(tup)} columns, matrix has {self.width}"
-                    )
-                minor = int_det([self.rows[i - 1][: len(tup)] for i in tup])
-                self._minors[tup] = minor
-            value *= minor
-            if value == 0:
-                break
-        return value
+        return math.prod(map(self.__getitem__, mono.factors))
 
 
 def eval_on_matrix(p: PluckerPoly | PluckerMonomial, matrix) -> Fraction:

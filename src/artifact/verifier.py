@@ -111,14 +111,17 @@ def _partitions(total: int, max_part: int) -> list[tuple[int, ...]]:
 
 
 def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomial]:
-    """Zero-weight standard basis of a type-A graded piece, as monomials."""
+    """Zero-weight standard basis of a type-A graded piece, as monomials.
+
+    The strip walk yields canonical, checked rows, so each is ``trusted``.
+    """
     if instance.family != FAMILY_A:
         raise ValueError("monomial bases exist for type A only")
     if degree == 0:
-        return [PluckerMonomial(instance.n, ())]
+        return [PluckerMonomial.trusted(instance.n, ())]
     shape = shape_from_weight(instance, degree)
     return [
-        PluckerMonomial(instance.n, rows)
+        PluckerMonomial.trusted(instance.n, rows)
         for rows in enumerate_standard(shape, instance.n, "uniform")
     ]
 
@@ -324,7 +327,7 @@ def _residue_rank(
         if factors in seen or rows_standard(factors):
             continue
         seen.add(factors)
-        row = _residue_row(straighten(PluckerMonomial(n, factors)), piece, index)
+        row = _residue_row(straighten(PluckerMonomial.trusted(n, factors)), piece, index)
         if any(row):
             tracker.add(row)
             if tracker.rank_lower_bound == len(residue):
@@ -509,10 +512,8 @@ def validate_certificate(
     The evaluation compares integers: with D the lcm of the coefficient
     denominators, f * D must equal the sum of each (coeff * D) * g * h.
     """
-    total = PluckerPoly(f.n)
-    for coeff, g, h in terms:
-        total = total + PluckerPoly.from_monomial(g * h, coeff)
-    if straighten(total) != straighten(PluckerPoly.from_monomial(f)):
+    total = sum((PluckerPoly.from_monomial(g * h, c) for c, g, h in terms), PluckerPoly(f.n))
+    if straighten(total) != straighten(f):
         return False
     scale = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
     scaled = [(coeff.numerator * (scale // coeff.denominator), g, h) for coeff, g, h in terms]

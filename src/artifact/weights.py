@@ -119,6 +119,7 @@ class ShapeB(ShapeA):
             raise ValueError("paired rows and spin rows must tile the row count")
 
 
+@functools.cache
 def shape_from_weight(instance: GroupInstance, degree: int) -> ShapeA | ShapeB:
     """Shape of the tableaux indexing sections at the given degree.
 

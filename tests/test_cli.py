@@ -219,6 +219,20 @@ class TestFactorize:
         assert "missing monomial" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("factorize", "g24", "p[2,1] p[3,4]"), "row (2, 1) is not strictly increasing"),
+        (("factorize", "g24", "p[1,7] p[2,3]"), "row (1, 7) leaves the range 1..4"),
+        (("straighten", "-n", "4", "p[2,1] p[3,4]"), "row (2, 1) is not strictly increasing"),
+    ],
+)
+def test_rows_from_the_command_line_are_checked(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 class TestVerify:
     def test_passing_bound(self, capsys):
         code, out, _ = run(

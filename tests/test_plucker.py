@@ -17,7 +17,9 @@ from artifact.plucker import (
     seeded_matrices,
     straighten,
 )
-from artifact.tableau_a import enumerate_standard
+from artifact.extract import dividing_unit
+from artifact.tableau_a import canonical_rows, check_rows, enumerate_standard
+from artifact.verifier import basis_monomials
 from artifact.weights import instance_by_label, shape_from_weight
 from oracles import (
     canonical_rows_keysort,
@@ -169,6 +171,38 @@ class TestStraighten:
             assert eval_on_matrix(p, mat) == eval_on_matrix(out, mat)
 
 
+@pytest.mark.parametrize("label", ["g24", "g25", "g26", "g36", "fl311", "fl411", "fl511"])
+def test_trusted_monomials_are_canonical_and_checked(label):
+    """Monomials built without re-sorting or re-checking hold valid rows.
+
+    The grid covers every trusted site up to degree 3: basis elements,
+    unit x cofactor products, dividing units and their quotients, and the
+    terms of a seeded sample of straightened products.
+    """
+
+    def assert_valid(m: PluckerMonomial) -> None:
+        assert m.factors == canonical_rows(m.factors)
+        check_rows(m.factors, m.n)
+        assert m == PluckerMonomial(m.n, m.factors)
+
+    inst = instance_by_label(label)
+    rng = random.Random(label)
+    bases = {k: basis_monomials(inst, k) for k in range(4)}
+    for k in range(1, 4):
+        for f in bases[k]:
+            assert_valid(f)
+            unit = dividing_unit(inst, f) if k > 1 else None
+            if unit is not None:
+                assert_valid(unit)
+                assert_valid(f.quotient(unit))
+        products = [g * h for g in bases[1] for h in bases[k - 1]]
+        for prod in products:
+            assert_valid(prod)
+        for prod in rng.sample(products, min(len(products), 200)):
+            for term in straighten(prod).terms:
+                assert_valid(term)
+
+
 @pytest.mark.parametrize("label", ["g36", "g26", "fl511", "fl412"])
 def test_straighten_commutes_with_fraction_scalars(label):
     inst = instance_by_label(label)
@@ -238,20 +272,34 @@ class TestEvaluation:
             table.monomial(mono(4, (1, 2), (1, 2, 3)))
 
     def test_table_reads_each_minor_once(self, monkeypatch):
-        import artifact.plucker as plucker
-
         computed = []
-        det = plucker.int_det
+        fill = MinorTable.__missing__
 
-        def counted_det(rows):
-            computed.append(len(rows))
-            return det(rows)
+        def counted_fill(table, tup):
+            computed.append(tup)
+            return fill(table, tup)
 
-        monkeypatch.setattr(plucker, "int_det", counted_det)
+        monkeypatch.setattr(MinorTable, "__missing__", counted_fill)
         table = MinorTable(seeded_matrices(5, 5, count=1, seed=2)[0])
         a, b = mono(5, (1, 2), (3, 4, 5), (2,)), mono(5, (1, 2), (1, 2), (2,))
         assert table.monomial(a) * table.monomial(b) == table.monomial(a * b)
-        assert sorted(computed) == [1, 2, 3]
+        assert table.monomial(a) == table.monomial(a)
+        # one computation per distinct minor, of every size
+        assert sorted(computed) == [(1, 2), (2,), (3, 4, 5)]
+
+    @pytest.mark.parametrize("n, seed", [(5, 0), (6, 1), (7, 2)])
+    def test_table_matches_elimination_on_every_short_tuple(self, n, seed):
+        matrices = seeded_matrices(n, 3, count=4, seed=seed)
+        # repeated and zero rows make some minors of every size vanish
+        singular = [list(row) for row in matrices[0]]
+        singular[1], singular[3] = list(singular[0]), [0, 0, 0]
+        for matrix in [*matrices, singular]:
+            table = MinorTable(matrix)
+            for t in (1, 2, 3):
+                for tup in itertools.combinations(range(1, n + 1), t):
+                    expected = int_det_bareiss([matrix[i - 1][:t] for i in tup])
+                    assert table[tup] == expected, (matrix, tup)
+                    assert table.monomial(PluckerMonomial(n, (tup,))) == expected
 
     def test_seeded_matrices_are_reproducible_and_bounded(self):
         a = seeded_matrices(5, 2, count=3, seed=11)
