@@ -5,7 +5,8 @@ factorize an invariant monomial into degree-one generators, verify one
 generation bound, compare dual Grassmannian dimensions, and run the full
 packaged suite.  Exit codes: 0 on success or an all-pass verdict, 1 when
 a verification fails, 2 on usage or configuration errors or a problem
-too large to run, 3 when an internal check fails.  Output is
+too large to run (out of stack or memory), 3 when an internal check
+fails or any other exception escapes.  Output is
 deterministic byte for byte for a fixed command line.  The parser is
 built once per process, on the first call, and shared by every later
 ``main`` call: parsing keeps no state between calls, so ``main`` can be
@@ -133,6 +134,18 @@ def _pick(primary, alternate, what: str) -> str:
     return value
 
 
+def _read_text(path: str | None, given: str | None, article: str, what: str) -> str:
+    """The text given on the command line or read from ``--input``, not both."""
+    if path is not None and given is not None:
+        raise ValueError(f"give {article} {what} or --input, not both")
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    if given is None:
+        raise ValueError(f"missing {what}")
+    return given
+
+
 def _cmd_enumerate(args) -> int:
     label = _pick(args.instance, args.instance_opt, "instance label")
     instance = instance_by_label(label)
@@ -171,15 +184,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_straighten(args) -> int:
-    if args.input is not None and args.expression is not None:
-        raise ValueError("give an expression or --input, not both")
-    if args.input is not None:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
-    elif args.expression is not None:
-        text = args.expression
-    else:
-        raise ValueError("missing expression")
+    text = _read_text(args.input, args.expression, "an", "expression")
     poly = parse_poly(text, args.rank)
     result = straighten(poly)
     if args.format == "json":
@@ -203,16 +208,7 @@ def _cmd_straighten(args) -> int:
 def _cmd_factorize(args) -> int:
     label = _pick(args.instance, args.instance_opt, "instance label")
     instance = instance_by_label(label)
-    if args.input is not None and args.monomial is not None:
-        raise ValueError("give a monomial or --input, not both")
-    if args.input is not None:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
-    elif args.monomial is not None:
-        text = args.monomial
-    else:
-        raise ValueError("missing monomial")
-    mono = parse_monomial(text, instance.n)
+    mono = parse_monomial(_read_text(args.input, args.monomial, "a", "monomial"), instance.n)
     terms = extract_degree_one(instance, mono)
     ok = validate_certificate(instance, mono, terms, seed=args.seed)
     if args.emit_dot:
@@ -286,14 +282,18 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:
+    except (RecursionError, MemoryError) as exc:
         # the strip table recurses once per value (_completions) and once per
-        # part (_add_strip), so a huge n runs out of stack
+        # part (_add_strip), so a huge n runs out of stack, or of memory
         print(f"error: problem too large: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         # an explicit internal check failed: a bug, not a failed verification
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # any other escape is a bug too, never a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -10,9 +10,11 @@ combinatorial: f is a ks-regular looped multigraph, and the candidate
 is a matching of one of its 2-factors plus (s-1)/2 more.  Odd cycles
 are repaired with signed three-term relations, then loops are traded
 against edges between candidate and cofactor until the candidate has
-the loop count of the unit shape.  Any other undivided f, and any f on
-which the combinatorics jam, goes to an exact linear-algebra
-factorization, so the contract stays total.  The other parities need no
+the loop count of the unit shape; every move builds new graphs through
+``LoopedMultigraph.replace``.  Any other undivided f, and any f on which
+the combinatorics jam, goes to an exact linear-algebra factorization,
+and either route's terms must pass ``verifier.straightens_to``, the
+identity ``validate_certificate`` also checks.  The other parities need no
 graph split in practice: for s even on the g2n family a 2-factor of the
 2k-regular loopless graph is itself a dividing unit (Petersen), and no
 measured piece with s even, or with k and s both odd, has an undivided
@@ -37,13 +39,14 @@ from .graphs import (
     monomial_from_graph,
     two_factorize,
 )
-from .plucker import PluckerMonomial, PluckerPoly, straighten
+from .plucker import PluckerMonomial, straighten
 from .tableau_a import content_vector, row_content
 from .verifier import (
     CertTermList,
     basis_monomials,
     factor_by_linear_algebra,
     monomial_degree,
+    straightens_to,
 )
 from .weights import FAMILY_A, GroupInstance, shape_from_weight
 
@@ -121,11 +124,7 @@ def one_factor_selection(g: LoopedMultigraph) -> LoopedMultigraph:
 
 
 def graph_difference(g: LoopedMultigraph, sub: LoopedMultigraph) -> LoopedMultigraph:
-    left = Counter(g.edges)
-    left.subtract(Counter(sub.edges))
-    if any(c < 0 for c in left.values()):
-        raise ValueError("subtrahend is not a subgraph")
-    return LoopedMultigraph(g.n, list(left.elements()))
+    return g.replace(sub.edges)
 
 
 def _union(n: int, parts: list[LoopedMultigraph]) -> LoopedMultigraph:
@@ -136,12 +135,7 @@ def _trade(
     g: LoopedMultigraph, h: LoopedMultigraph, give: list[Edge], take: list[Edge]
 ) -> tuple[LoopedMultigraph, LoopedMultigraph]:
     """Move the edges ``give`` from g to h and the edges ``take`` from h to g."""
-    g_edges, h_edges = list(g.edges), list(h.edges)
-    for e in give:
-        g_edges.remove(e)
-    for e in take:
-        h_edges.remove(e)
-    return LoopedMultigraph(g.n, g_edges + take), LoopedMultigraph(h.n, h_edges + give)
+    return g.replace(give, take), h.replace(take, give)
 
 
 def iter_interchanges(
@@ -424,6 +418,5 @@ def extract_degree_one(instance: GroupInstance, f: PluckerMonomial) -> CertTermL
 def _validate_terms(f: PluckerMonomial, terms: CertTermList) -> None:
     if not all(g.is_standard for _, g, _ in terms):
         raise AssertionError("generator must be standard")
-    total = sum((PluckerPoly.from_monomial(g * h, c) for c, g, h in terms), PluckerPoly(f.n))
-    if straighten(total) != straighten(f):
+    if not straightens_to(f, terms):
         raise AssertionError("extraction identity failed straightening check")

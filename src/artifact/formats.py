@@ -118,26 +118,30 @@ def certificate_json(
 REPORT_COLUMNS = ("instance", "k", "d", "dim", "rank", "verdict")
 
 
+def _aligned(header: tuple[str, ...], rows: list[list[str]]) -> list[str]:
+    """Header and rows in left-justified columns two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in (header, *rows)]
+
+
+def _csv(header: tuple[str, ...], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
+def _report_rows(reports: list[GenerationReport]) -> list[list[str]]:
+    return [[str(r.as_dict()[c]) for c in REPORT_COLUMNS] for r in reports]
+
+
 def reports_table(reports: list[GenerationReport]) -> str:
-    rows = [[str(r.as_dict()[c]) for c in REPORT_COLUMNS] for r in reports]
-    widths = [
-        max(len(REPORT_COLUMNS[i]), *(len(row[i]) for row in rows)) if rows else len(REPORT_COLUMNS[i])
-        for i in range(len(REPORT_COLUMNS))
-    ]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(REPORT_COLUMNS, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return "\n".join(_aligned(REPORT_COLUMNS, _report_rows(reports)))
 
 
 def reports_csv(reports: list[GenerationReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        d = r.as_dict()
-        writer.writerow([d[c] for c in REPORT_COLUMNS])
-    return buf.getvalue().rstrip("\n")
+    return _csv(REPORT_COLUMNS, _report_rows(reports))
 
 
 def reports_json_text(reports: list[GenerationReport]) -> str:
@@ -145,23 +149,13 @@ def reports_json_text(reports: list[GenerationReport]) -> str:
 
 
 def duality_table(result: dict) -> str:
-    header = ["k", "left", "right"]
     rows = [[str(d["k"]), str(d["left"]), str(d["right"])] for d in result["degrees"]]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(3)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    lines.append(f"verdict: {result['verdict']}")
-    return "\n".join(lines)
+    return "\n".join([*_aligned(("k", "left", "right"), rows), f"verdict: {result['verdict']}"])
 
 
 def duality_csv(result: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "left", "right", "verdict"])
-    for d in result["degrees"]:
-        writer.writerow([d["k"], d["left"], d["right"], result["verdict"]])
-    return buf.getvalue().rstrip("\n")
+    rows = [[d["k"], d["left"], d["right"], result["verdict"]] for d in result["degrees"]]
+    return _csv(("k", "left", "right", "verdict"), rows)
 
 
 def load_manifest(path: str) -> list[dict]:

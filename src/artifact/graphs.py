@@ -6,7 +6,8 @@ the degree.  This module owns that dictionary plus the constructive
 toolkit: pairing loops into classical ones, splitting 2r-regular graphs
 into r 2-factors, perfect matchings of regular bipartite graphs, the
 five-way classification of 2-regular components, and the signed
-three-term exchange relations written on edges.
+three-term exchange relations written on edges.  Graphs are values:
+``LoopedMultigraph.replace`` is the one edit, and it returns a new graph.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .plucker import PluckerMonomial
 
@@ -34,9 +36,6 @@ class LoopedMultigraph:
                 raise ValueError(f"edge ({a}, {b}) leaves the range 1..{self.n}")
             fixed.append((a, b) if a <= b else (b, a))
         self.edges = sorted(fixed)
-
-    def copy(self) -> "LoopedMultigraph":
-        return LoopedMultigraph(self.n, list(self.edges))
 
     def degree(self, v: int) -> int:
         # each incident edge contributes once, so a loop already counts 1
@@ -59,13 +58,13 @@ class LoopedMultigraph:
     def is_regular(self, r: int) -> bool:
         return all(d == r for d in self.degrees().values())
 
-    def add(self, a: int, b: int) -> None:
-        self.edges.append((a, b) if a <= b else (b, a))
-        self.edges.sort()
-
-    def remove(self, a: int, b: int) -> None:
-        e = (a, b) if a <= b else (b, a)
-        self.edges.remove(e)
+    def replace(self, drop: Iterable[Edge], add: Iterable[Edge] = ()) -> "LoopedMultigraph":
+        """A new graph: this one without the edges ``drop``, with the edges ``add``."""
+        left = Counter(self.edges)
+        left.subtract((min(e), max(e)) for e in drop)
+        if min(left.values(), default=0) < 0:
+            raise ValueError("the dropped edges are not a subgraph")
+        return LoopedMultigraph(self.n, [*left.elements(), *add])
 
     def components(self) -> list[list[Edge]]:
         """Edge lists of connected components (isolated vertices skipped)."""
@@ -137,18 +136,9 @@ def edge_loop_relation(g: LoopedMultigraph, edge: Edge, vertex: int) -> GraphCom
         raise ValueError("first argument must be a proper edge")
     if k in (i, j):
         raise ValueError("loop vertex must differ from the edge ends")
-    base = g.copy()
-    base.remove(i, j)
-    base.remove(k, k)
-    first = base.copy()
-    first.add(*sorted((i, k)))
-    first.add(j, j)
-    second = base.copy()
-    second.add(*sorted((j, k)))
-    second.add(i, i)
     return [
-        (Fraction(_sgn(i, k)), first),
-        (Fraction(-_sgn(j, k)), second),
+        (Fraction(_sgn(i, k)), g.replace([(i, j), (k, k)], [(i, k), (j, j)])),
+        (Fraction(-_sgn(j, k)), g.replace([(i, j), (k, k)], [(j, k), (i, i)])),
     ]
 
 
@@ -172,15 +162,9 @@ def edge_pair_relation(g: LoopedMultigraph, e1: Edge, e2: Edge) -> GraphCombo:
         frozenset({(a, d), (b, c)}): 3,
     }
     which = pairings[frozenset({e1, e2})]
-    base = g.copy()
-    base.remove(*e1)
-    base.remove(*e2)
 
     def with_edges(p: Edge, q: Edge) -> LoopedMultigraph:
-        out = base.copy()
-        out.add(*p)
-        out.add(*q)
-        return out
+        return g.replace([e1, e2], [p, q])
 
     if which == 1:
         return [

@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .linalg import RankTracker, solve_rational
 from .plucker import (
@@ -44,11 +44,10 @@ from .weights import (
     FAMILY_A,
     FAMILY_B,
     GroupInstance,
-    catalog_instance,
     default_generation_degree,
     descent_ok,
-    grassmannian,
     grassmannian_label,
+    instance_by_label,
     instance_from_entry,
     manifest_int,
     shape_from_weight,
@@ -117,8 +116,6 @@ def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomia
     """
     if instance.family != FAMILY_A:
         raise ValueError("monomial bases exist for type A only")
-    if degree == 0:
-        return [PluckerMonomial.trusted(instance.n, ())]
     shape = shape_from_weight(instance, degree)
     return [
         PluckerMonomial.trusted(instance.n, rows)
@@ -173,9 +170,13 @@ def unit_splitter(
 
 
 def _residue_row(
-    poly: PluckerPoly, piece: set[Factors], index: dict[Factors, int]
+    poly: PluckerPoly, piece: Container[Factors], index: dict[Factors, int]
 ) -> list[int]:
-    """Coordinates of a straightened product on the residue elements."""
+    """Coordinates of a straightened product on the elements ``index`` numbers.
+
+    Every term must lie in ``piece``: a residue row drops the terms off the
+    residue, and a column of ``factor_by_linear_algebra`` keeps them all.
+    """
     row = [0] * len(index)
     for mono, coeff in poly.items():
         if coeff.denominator != 1:
@@ -378,21 +379,19 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
     )
 
 
-def _grassmannian_side(r: int, n: int) -> GroupInstance:
-    # a catalog entry under the label g<r><n> keeps its own multiple
-    label = grassmannian_label(r, n)
-    return catalog_instance(label) or grassmannian(r, n, label)
-
-
 def check_duality(r: int, n: int, k_max: int) -> dict:
     """Compare invariant dimensions of complementary Grassmannians.
 
     Counts zero-weight standard tableaux for G(r, n) against G(n-r, n)
-    in degrees 1..k_max; the pairing is expected to match exactly.
+    in degrees 1..k_max; the pairing is expected to match exactly.  A
+    catalog entry under the label g<r><n> keeps its own multiple.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    left, right = _grassmannian_side(r, n), _grassmannian_side(n - r, n)
+    # instance_by_label reads no minus sign, so a negative side is refused here
+    if not 1 <= r < n:
+        raise ValueError(f"bad Grassmannian label {grassmannian_label(r, n)!r}")
+    left, right = (instance_by_label(grassmannian_label(a, n)) for a in (r, n - r))
     rows = []
     all_equal = True
     for k in range(1, k_max + 1):
@@ -471,27 +470,27 @@ def factor_by_linear_algebra(
     k = monomial_degree(instance, f)
     if k < 2:
         raise ValueError("degree must be at least 2")
-    basis_k = basis_monomials(instance, k)
-    index = {m: i for i, m in enumerate(basis_k)}
-    units = basis_monomials(instance, 1)
-    cofactors = basis_monomials(instance, k - 1)
-    pairs = [(g, h) for g in units for h in cofactors]
-    pos = index.get(f)
-    if pos is None:
+    index = {m.factors: i for i, m in enumerate(basis_monomials(instance, k))}
+    pos = index.get(f.factors)
+    if pos is None or f.n != instance.n:
         raise ValueError("monomial is not a zero-weight standard basis element")
-    rows = [[0] * len(pairs) for _ in basis_k]
-    for j, (g, h) in enumerate(pairs):
-        for mono, coeff in straighten(g * h).items():
-            if coeff.denominator != 1:
-                raise AssertionError("integral relations produce integral columns")
-            rows[index[mono]][j] = int(coeff)
-    rhs = [int(i == pos) for i in range(len(basis_k))]
+    units, cofactors = basis_monomials(instance, 1), basis_monomials(instance, k - 1)
+    pairs = [(g, h) for g in units for h in cofactors]
+    columns = [_residue_row(straighten(g * h), index.keys(), index) for g, h in pairs]
+    rows = [[column[i] for column in columns] for i in range(len(index))]
+    rhs = [int(i == pos) for i in range(len(index))]
     solution = solve_rational(rows, rhs)
     if solution is None:
         raise ValueError("monomial is not generated in degree one")
     return [
         (c, g, h) for c, (g, h) in zip(solution, pairs) if c != 0
     ]
+
+
+def straightens_to(f: PluckerMonomial, terms: CertTermList) -> bool:
+    """The certificate identity: does sum c * g * h straighten to straighten(f)?"""
+    total = sum((PluckerPoly.from_monomial(g * h, c) for c, g, h in terms), PluckerPoly(f.n))
+    return straighten(total) == straighten(f)
 
 
 def validate_certificate(
@@ -512,8 +511,7 @@ def validate_certificate(
     The evaluation compares integers: with D the lcm of the coefficient
     denominators, f * D must equal the sum of each (coeff * D) * g * h.
     """
-    total = sum((PluckerPoly.from_monomial(g * h, c) for c, g, h in terms), PluckerPoly(f.n))
-    if straighten(total) != straighten(f):
+    if not straightens_to(f, terms):
         return False
     scale = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
     scaled = [(coeff.numerator * (scale // coeff.denominator), g, h) for coeff, g, h in terms]

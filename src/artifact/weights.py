@@ -268,14 +268,6 @@ _FLAG = re.compile(r"^fl(\d)(\d)(\d)$|^fl(\d+)_(\d+)_(\d+)$")
 _SPIN = re.compile(r"^spin(\d+)w(\d)$")
 
 
-def catalog_instance(label: str) -> GroupInstance | None:
-    """The catalog entry with this label, if there is one."""
-    for inst in catalog_instances():
-        if inst.label == label:
-            return inst
-    return None
-
-
 def grassmannian_label(r: int, n: int) -> str:
     """g<r><n>, or g<r>_<n> once r or n has two digits."""
     return f"g{r}{n}" if r < 10 and n < 10 else f"g{r}_{n}"
@@ -286,29 +278,23 @@ def flag_label(n: int, r1: int, r2: int) -> str:
     return f"fl{n}{r1}{r2}" if max(n, r1, r2) < 10 else f"fl{n}_{r1}_{r2}"
 
 
-def grassmannian(r: int, n: int, label: str) -> GroupInstance:
-    """G(r, n) with bundle multiple n, as built for labels outside the catalog."""
-    if not 1 <= r < n:
-        raise ValueError(f"bad Grassmannian label {label!r}")
-    weight = tuple(1 if i + 1 == r else 0 for i in range(n - 1))
-    return GroupInstance(FAMILY_A, n, (r,), weight, n, label)
-
-
 def instance_by_label(label: str) -> GroupInstance:
     """Resolve a label like g26, g2_10, fl411, fl10_1_1 or spin7w2 to an instance.
 
     Catalog labels win; other well-formed labels are built on the fly so
     the CLI can address cases beyond the shipped manifest.
     """
-    inst = catalog_instance(label)
-    if inst is not None:
-        return inst
+    for inst in catalog_instances():
+        if inst.label == label:
+            return inst
     m = _GRASSMANN.match(label)
     if m:
         r, n = (int(g) for g in m.groups() if g is not None)
-        if grassmannian_label(r, n) != label:
+        if not 1 <= r < n or grassmannian_label(r, n) != label:
             raise ValueError(f"bad Grassmannian label {label!r}")
-        return grassmannian(r, n, label)
+        # G(r, n) with bundle multiple n
+        weight = tuple(1 if i + 1 == r else 0 for i in range(n - 1))
+        return GroupInstance(FAMILY_A, n, (r,), weight, n, label)
     m = _FLAG.match(label)
     if m:
         n, r1, r2 = (int(g) for g in m.groups() if g is not None)

@@ -132,16 +132,18 @@ class TestStraighten:
     def test_expression_and_input_conflict(self, capsys, tmp_path):
         path = tmp_path / "poly.txt"
         path.write_text("p[1,2]")
-        code, _, err = run(
+        code, out, err = run(
             capsys, "straighten", "-n", "4", "p[1,2]", "--input", str(path)
         )
-        assert code == 2
-        assert "not both" in err
+        assert (code, out, err) == (2, "", "error: give an expression or --input, not both\n")
+        code, out, err = run(
+            capsys, "factorize", "g24", "p[1,2]^4 p[3,4]^4", "--input", str(path)
+        )
+        assert (code, out, err) == (2, "", "error: give a monomial or --input, not both\n")
 
     def test_missing_expression(self, capsys):
-        code, _, err = run(capsys, "straighten", "-n", "4")
-        assert code == 2
-        assert "missing expression" in err
+        code, out, err = run(capsys, "straighten", "-n", "4")
+        assert (code, out, err) == (2, "", "error: missing expression\n")
 
     def test_json_terms(self, capsys):
         code, out, _ = run(
@@ -214,9 +216,8 @@ class TestFactorize:
         assert "not generated in degree one" in err
 
     def test_missing_monomial(self, capsys):
-        code, _, err = run(capsys, "factorize", "g24")
-        assert code == 2
-        assert "missing monomial" in err
+        code, out, err = run(capsys, "factorize", "g24")
+        assert (code, out, err) == (2, "", "error: missing monomial\n")
 
 
 @pytest.mark.parametrize(
@@ -290,6 +291,13 @@ class TestDuality:
         assert payload["left"] == "g26"
         assert payload["right"] == "g46"
         assert payload["verdict"] == "pass"
+        # g36 is a catalog entry: its multiple 2 gives (5, 16), where multiple 6 gives (40, 280)
+        code, out, _ = run(
+            capsys, "duality", "3", "6", "--k-max", "2", "--format", "json"
+        )
+        payload = json.loads(out)
+        assert (code, payload["left"], payload["right"]) == (0, "g36", "g36")
+        assert [(d["left"], d["right"]) for d in payload["degrees"]] == [(5, 5), (16, 16)]
 
     def test_two_digit_n(self, capsys):
         start = time.perf_counter()
@@ -327,6 +335,10 @@ class TestDuality:
             code, out, _ = run(capsys, "enumerate", label, "-k", "1", "--count-only")
             assert code == 0
             assert out.split() == ["1"]
+        # a side outside 1 <= r < n is refused under its own label
+        for r in ("0", "5", "6"):
+            code, out, err = run(capsys, "duality", r, "5")
+            assert (code, out, err) == (2, "", f"error: bad Grassmannian label 'g{r}5'\n")
 
 
 G24_ENTRY = '{"family": "A", "n": 4, "parabolic": [2], "weight": [0, 1, 0], "multiple": 4}'
@@ -415,6 +427,22 @@ def test_internal_check_failure_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "duality", "2", "5")
     assert (code, out) == (3, "")
     assert err == "internal error: tableau count out of range\n"
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        (KeyError("lost"), 3, "internal error: KeyError: 'lost'\n"),
+        (MemoryError("no room"), 2, "error: problem too large: no room\n"),
+    ],
+)
+def test_other_exceptions_keep_the_exit_code_contract(capsys, monkeypatch, raised, code, message):
+    # an internal error must never pass for a failed check (exit 1)
+    def broken(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "_cmd_verify", broken)
+    assert run(capsys, "verify", "g24") == (code, "", message)
 
 
 def outcome(argv):

@@ -183,6 +183,7 @@ class TestReportRendering:
             "g24,2,1,5,5,pass\n"
             "g36,2,1,16,15,fail"
         )
+        assert reports_csv([]) == "instance,k,d,dim,rank,verdict"
 
     def test_json_layout(self):
         assert reports_json_text(self._reports()[:1]) == (

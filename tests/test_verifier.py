@@ -395,6 +395,7 @@ TRIPPED_CHECKS = textwrap.dedent(
     """
     import sys
     from fractions import Fraction
+    from unittest import mock
 
     import artifact.extract as extract
     import artifact.graphs as graphs
@@ -414,6 +415,12 @@ TRIPPED_CHECKS = textwrap.dedent(
     target = verifier.basis_monomials(g24, 2)[0]
     matchings = graphs.one_factorize_bipartite
     square = LoopedMultigraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    # only the linear-algebra checks see a broken straightening: the shared
+    # certificate identity must still catch the empty extraction
+    halved = mock.patch.object(
+        verifier, "straighten", lambda poly: PluckerPoly.from_monomial(target, Fraction(1, 2))
+    )
+    off_piece = mock.patch.object(verifier, "straighten", lambda poly: whole)
     checks = {
         "integral row": lambda: _residue_row(half, {mono.factors}, {}),
         "in piece": lambda: _residue_row(whole, set(), {}),
@@ -424,10 +431,10 @@ TRIPPED_CHECKS = textwrap.dedent(
         ),
         "shuffle pool": lambda: plucker._shuffle_rewrite((2, 3), (2, 2)),
         "shuffle identity": lambda: plucker._shuffle_rewrite((1, 3), (1, 2)),
-        "integral columns": lambda: verifier.factor_by_linear_algebra(g24, target),
+        "integral columns": lambda: halved(verifier.factor_by_linear_algebra)(g24, target),
+        "linalg in piece": lambda: off_piece(verifier.factor_by_linear_algebra)(g24, target),
         "1-regular selection": lambda: extract.one_factor_selection(square),
     }
-    verifier.straighten = lambda poly: PluckerPoly.from_monomial(target, Fraction(1, 2))
     plucker._pair_rewrite = lambda upper, lower: ((1, upper, lower),)
     plucker._sort_sign = lambda seq: (0, ())
     graphs.one_factorize_bipartite = lambda *a: [m[:-1] for m in matchings(*a)]
@@ -454,7 +461,7 @@ def test_invariant_checks_survive_optimized_mode():
     assert done.stdout.splitlines() == [
         "integral row", "in piece", "extraction identity",
         "measure decrease", "2-regular factor", "shuffle pool", "shuffle identity",
-        "integral columns", "1-regular selection",
+        "integral columns", "linalg in piece", "1-regular selection",
     ]
 
 
