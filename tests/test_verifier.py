@@ -1,6 +1,7 @@
 """Generation-degree certification, type-B splitting, duality, suites."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import artifact
 import artifact.verifier as verifier
+from artifact.cli import main
 from artifact.plucker import MinorTable, PluckerMonomial, eval_on_matrix, seeded_matrices
 from artifact.tableau_a import canonical_rows, rows_standard
 from artifact.tableau_b import enumerate_standard_b
@@ -246,6 +248,21 @@ class TestTypeBFactorization:
             assert all(part in lower for part in parts)
             joined = Counter(unit for part in parts for unit in lower[part])
             assert joined == Counter(element_units[tuple(map(tuple, witness["element"]))])
+
+    @pytest.mark.parametrize(
+        "label, k, d, code, digest",
+        [
+            ("spin7w2", 4, 3, 0, "56e163ea4e524df46462446df0696b81760dc8224437d906553263e8fec62e08"),
+            ("spin7w3", 4, 1, 0, "3a346d67f78aa87720687b4826cc9d066d9ffd701b39d9770adbb49cb4d29c25"),
+            ("spin9w2", 3, 1, 1, "4bc7adb1744488b94a1f90d09d9c53f0c0376fe14a10e2cda4257dd4ad60bef0"),
+        ],
+    )
+    def test_witness_json_is_pinned(self, capsys, label, k, d, code, digest):
+        # the witness parts depend on which lower piece the splitter tries
+        # first, so the verify output is pinned byte for byte
+        assert main(["verify", label, "-k", str(k), "-d", str(d), "--format", "json"]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_type_a_instance_rejected(self):
         with pytest.raises(ValueError, match="type-B"):
