@@ -57,6 +57,8 @@ CertTermList = list[tuple[Fraction, PluckerMonomial, PluckerMonomial]]
 
 # largest product-matrix (rows x columns) a generation check will assemble
 BUDGET_ENTRIES = 10**7
+# bits per unit in a packed multiset code (unit_splitter)
+_LANE = 32
 
 
 @dataclass
@@ -116,11 +118,13 @@ def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomia
     """
     if instance.family != FAMILY_A:
         raise ValueError("monomial bases exist for type A only")
+    return [PluckerMonomial.trusted(instance.n, rows) for rows in _basis_rows(instance, degree)]
+
+
+def _basis_rows(instance: GroupInstance, degree: int) -> list[Factors]:
+    """The same basis as canonical row tuples, with no monomial built."""
     shape = shape_from_weight(instance, degree)
-    return [
-        PluckerMonomial.trusted(instance.n, rows)
-        for rows in enumerate_standard(shape, instance.n, "uniform")
-    ]
+    return list(enumerate_standard(shape, instance.n, "uniform"))
 
 
 def basis_size(instance: GroupInstance, degree: int) -> int:
@@ -129,42 +133,67 @@ def basis_size(instance: GroupInstance, degree: int) -> int:
     return count_standard(shape, instance.n, "uniform")
 
 
+def _head_lane(code: int) -> int:
+    """Index of the lowest occupied lane of a packed multiset code."""
+    return ((code & -code).bit_length() - 1) // _LANE
+
+
 def unit_splitter(
     lower: dict[int, list[tuple]],
 ) -> Callable[[tuple, int], list[tuple] | None]:
-    """Memoized division of canonical unit tuples into lower basis pieces.
+    """Memoized division of unit multisets into lower basis pieces.
 
     ``lower`` maps each generator degree j to the unit tuples of the
-    degree-j basis, every tuple sorted the same way.  The returned
+    degree-j basis.  A multiset of units is packed into one integer: the
+    i-th unit in ``sorted()`` order owns the 32-bit lane at bit 32 * i and
+    a code adds one to its lane per copy.  With a guard bit on top of
+    every lane, a piece divides a code when no lane borrows, and the
+    quotient is the difference of the codes.  The returned
     ``split(units, degree)`` gives the pieces whose units multiply out to
-    ``units`` (the piece holding the head unit first), or None.  A piece
-    that divides the element must hold its head unit, so only the pieces
-    filed under that head are tried; a remainder of generator degree must
-    itself be a lower basis element.
+    ``units`` (the piece holding the head unit first), or None.  The head
+    is the smallest unit present, and a piece that divides the element
+    must hold it, so only the pieces filed under that head are tried, by
+    degree and then in basis order; a remainder of generator degree must
+    itself be a lower basis element.  A unit no piece holds never splits.
     """
     top = max(lower, default=0)
-    members = {j: set(pieces) for j, pieces in lower.items()}
-    by_head: dict[int, dict[object, list[tuple]]] = {j: {} for j in lower}
+    units_seen = {unit for pieces in lower.values() for piece in pieces for unit in piece}
+    lane = {unit: 1 << (_LANE * i) for i, unit in enumerate(sorted(units_seen))}
+    guard = sum(bit << (_LANE - 1) for bit in lane.values())
+    members: dict[int, dict[int, tuple]] = {j: {} for j in lower}
+    by_head: dict[int, list[tuple[int, int, tuple]]] = {}
     for j, pieces in lower.items():
         for piece in pieces:
-            by_head[j].setdefault(piece[0], []).append(piece)
-    memo: dict[tuple, list[tuple] | None] = {}
+            code = sum(lane[unit] for unit in piece)
+            members[j][code] = piece
+            by_head.setdefault(_head_lane(code), []).append((j, code, piece))
+    memo: dict[int, list[tuple] | None] = {}
 
-    def split(units: tuple, degree: int) -> list[tuple] | None:
+    def divide(code: int, degree: int) -> list[tuple] | None:
         if degree <= top:
-            return [units] if units in members.get(degree, ()) else None
-        if units not in memo:
-            memo[units] = next(
+            piece = members.get(degree, {}).get(code)
+            return None if piece is None else [piece]
+        if code not in memo:
+            memo[code] = next(
                 (
                     [piece, *sub]
-                    for j, heads in by_head.items()
-                    for piece in heads.get(units[0], ())
-                    if (rest := divide_rows(units, piece)) is not None
-                    and (sub := split(rest, degree - j)) is not None
+                    for j, p, piece in by_head.get(_head_lane(code), ())
+                    if ((code | guard) - p) & guard == guard
+                    and (sub := divide(code - p, degree - j)) is not None
                 ),
                 None,
             )
-        return memo[units]
+        return memo[code]
+
+    def split(units: tuple, degree: int) -> list[tuple] | None:
+        # a lane holds counts below its guard bit; more units could overflow one
+        if len(units) >= 1 << (_LANE - 1):
+            raise ValueError(f"problem too large: {len(units)} units overflow a {_LANE}-bit lane")
+        try:
+            code = sum(lane[unit] for unit in units)
+        except KeyError:
+            return None
+        return divide(code, degree)
 
     return split
 
@@ -233,8 +262,8 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
             f"{label} k={k} d={d}: about {est} products x {dim} basis elements "
             f"exceeds the budget of {BUDGET_ENTRIES} matrix entries"
         )
-    basis_k = [m.factors for m in basis_monomials(instance, k)]
-    lower = {j: [m.factors for m in basis_monomials(instance, j)] for j in sizes}
+    basis_k = _basis_rows(instance, k)
+    lower = {j: _basis_rows(instance, j) for j in sizes}
     if len(basis_k) != dim or any(len(lower[j]) != c for j, c in sizes.items()):
         raise AssertionError("a basis enumeration disagrees with its count")
     # the units are rows: the quotient of a standard zero-weight monomial

@@ -18,9 +18,17 @@ from artifact.extract import degree_one_basis
 from artifact.graphs import GraphCombo, monomial_from_graph
 from artifact.linalg import RankTracker
 from artifact.plucker import PluckerMonomial, PluckerPoly, straighten
-from artifact.tableau_a import Factors, canonical_rows, check_rows, content_vector, first_violation, row_content
+from artifact.tableau_a import (
+    Factors,
+    canonical_rows,
+    check_rows,
+    content_vector,
+    divide_rows,
+    first_violation,
+    row_content,
+)
 from artifact.tableau_b import _row_candidates, enumerate_standard_b, is_admissible
-from artifact.verifier import _b_units, _partitions, basis_monomials, unit_splitter
+from artifact.verifier import _b_units, _partitions, basis_monomials
 from artifact.weights import FAMILY_B, GroupInstance, ShapeA, ShapeB, shape_from_weight
 
 
@@ -499,6 +507,41 @@ def full_product_rank(instance: GroupInstance, k: int, d: int) -> tuple[int, int
     return dim, rank, "pass" if rank == dim else "fail"
 
 
+def tuple_splitter(lower: dict[int, list[tuple]]):
+    """The splitter on unit tuples: peel one lower piece per level, memoized.
+
+    Every unit tuple is sorted the same way.  The head of an element is
+    its first unit; a dividing piece must hold it, so only the pieces
+    whose first unit it is are tried, degree by degree in basis order,
+    each by one greedy ``divide_rows`` pass over the whole tuple.
+    """
+    top = max(lower, default=0)
+    members = {j: set(pieces) for j, pieces in lower.items()}
+    by_head: dict[int, dict[object, list[tuple]]] = {j: {} for j in lower}
+    for j, pieces in lower.items():
+        for piece in pieces:
+            by_head[j].setdefault(piece[0], []).append(piece)
+    memo: dict[tuple, list[tuple] | None] = {}
+
+    def split(units: tuple, degree: int) -> list[tuple] | None:
+        if degree <= top:
+            return [units] if units in members.get(degree, ()) else None
+        if units not in memo:
+            memo[units] = next(
+                (
+                    [piece, *sub]
+                    for j, heads in by_head.items()
+                    for piece in heads.get(units[0], ())
+                    if (rest := divide_rows(units, piece)) is not None
+                    and (sub := split(rest, degree - j)) is not None
+                ),
+                None,
+            )
+        return memo[units]
+
+    return split
+
+
 def split_residue(
     basis: list[PluckerMonomial], k: int, lower: dict[int, list[PluckerMonomial]]
 ) -> list[PluckerMonomial]:
@@ -507,7 +550,7 @@ def split_residue(
     ``lower`` maps each generator degree j to the degree-j basis; the
     units are rows.  Returns the unsplit residue in basis order.
     """
-    split = unit_splitter({j: [m.factors for m in monos] for j, monos in lower.items()})
+    split = tuple_splitter({j: [m.factors for m in monos] for j, monos in lower.items()})
     return [m for m in basis if split(m.factors, k) is None]
 
 

@@ -1,6 +1,7 @@
 """Generation-degree certification, type-B splitting, duality, suites."""
 
 import ast
+import functools
 import hashlib
 import os
 import subprocess
@@ -11,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artifact
 import artifact.verifier as verifier
@@ -31,7 +34,13 @@ from artifact.verifier import (
     validate_certificate,
 )
 from artifact.weights import FAMILY_B, GroupInstance, instance_by_label, shape_from_weight
-from oracles import full_product_rank, nearest_first_rank, split_residue, unit_split_count
+from oracles import (
+    full_product_rank,
+    nearest_first_rank,
+    split_residue,
+    tuple_splitter,
+    unit_split_count,
+)
 
 ORACLE_GRID = (
     [("g24", k, 1) for k in (2, 3, 4)]
@@ -267,6 +276,89 @@ class TestTypeBFactorization:
     def test_type_a_instance_rejected(self):
         with pytest.raises(ValueError, match="type-B"):
             check_typeB_factorization(instance_by_label("g24"), 2, 1)
+
+
+SPLITTER_GRID_A = (
+    [("g26", 4, 1), ("fl511", 3, 1), ("g27", 3, 1), ("fl611", 2, 1)]
+    + [("g36", k, d) for k in (3, 4) for d in (1, 2)]
+)
+
+SPLITTER_GRID_B = (
+    [("spin7w2", k, d) for k in (2, 3, 4) for d in (1, 2, 3)]
+    + [("spin7w3", k, 1) for k in (2, 3, 4)]
+    + [("spin9w2", 2, 1)]
+)
+
+
+@functools.cache
+def unit_basis(label: str, degree: int) -> tuple[tuple, ...]:
+    """The degree's basis as splitter units: rows in type A, `_b_units` in type B."""
+    inst = instance_by_label(label)
+    if inst.family != FAMILY_B:
+        return tuple(m.factors for m in basis_monomials(inst, degree))
+    paired = shape_from_weight(inst, degree).paired_rows
+    return tuple(_b_units(rows, paired) for rows in enumerate_standard_b(inst, degree))
+
+
+def splitters(label: str, d: int):
+    lower = {j: list(unit_basis(label, j)) for j in range(1, d + 1)}
+    return unit_splitter(lower), tuple_splitter(lower)
+
+
+class TestUnitSplitter:
+    @pytest.mark.parametrize("label, k, d", SPLITTER_GRID_A)
+    def test_type_a_splits_where_the_tuple_oracle_does(self, label, k, d):
+        # the head rules differ in type A, so only whether a split exists is compared
+        packed, oracle = splitters(label, d)
+        basis = unit_basis(label, k)
+        assert [packed(f, k) is None for f in basis] == [oracle(f, k) is None for f in basis]
+
+    @pytest.mark.parametrize("label, k, d", SPLITTER_GRID_B)
+    def test_type_b_pieces_match_the_tuple_oracle(self, label, k, d):
+        packed, oracle = splitters(label, d)
+        for units in unit_basis(label, k):
+            assert packed(units, k) == oracle(units, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_products_of_top_degree_pieces_split_back(self, data):
+        # a remainder of generator degree must itself be a basis element, so
+        # the pieces multiplied are of the top generator degree d: peeling the
+        # one that holds the head leaves a product of the same kind
+        label, d = data.draw(
+            st.sampled_from([("g36", 1), ("g36", 2), ("fl511", 1), ("spin7w2", 2), ("spin7w3", 1)])
+        )
+        top = unit_basis(label, d)
+        pieces = data.draw(st.lists(st.sampled_from(top), min_size=2, max_size=4))
+        units = [unit for piece in pieces for unit in piece]
+        product = tuple(sorted(units)) if label.startswith("spin") else canonical_rows(units)
+        k = d * len(pieces)
+        split, _ = splitters(label, d)
+        parts = split(product, k)
+        assert parts is not None
+        assert Counter(unit for part in parts for unit in part) == Counter(product)
+        degree = {piece: j for j in range(1, d + 1) for piece in unit_basis(label, j)}
+        assert sum(degree[part] for part in parts) == k
+
+    def test_unit_outside_every_piece_never_splits(self):
+        split, _ = splitters("g24", 1)
+        a, _, b = unit_basis("g24", 1)
+        assert split(canonical_rows(a + b), 2) == [a, b]
+        # no degree-one basis element has the rows (1, 4) or (2, 3)
+        assert split(canonical_rows(a + ((1, 3), (1, 4), (2, 3), (2, 4))), 2) is None
+
+    def test_lane_overflow_is_refused(self):
+        class Counted(tuple):
+            # reports a length without holding the units
+            def __len__(self):
+                return self.reported
+
+        split, _ = splitters("g24", 1)
+        below, at = Counted(), Counted()
+        below.reported, at.reported = 2**31 - 1, 2**31
+        assert split(below, 2) is None
+        with pytest.raises(ValueError, match="problem too large"):
+            split(at, 2)
 
 
 class TestDuality:
