@@ -122,7 +122,7 @@ def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomia
 
 
 def _basis_rows(instance: GroupInstance, degree: int) -> list[Factors]:
-    """The same basis as canonical row tuples, with no monomial built."""
+    """Zero-weight standard basis of a type-A graded piece, as canonical rows."""
     shape = shape_from_weight(instance, degree)
     return list(enumerate_standard(shape, instance.n, "uniform"))
 
@@ -159,7 +159,7 @@ def unit_splitter(
     top = max(lower, default=0)
     units_seen = {unit for pieces in lower.values() for piece in pieces for unit in piece}
     lane = {unit: 1 << (_LANE * i) for i, unit in enumerate(sorted(units_seen))}
-    guard = sum(bit << (_LANE - 1) for bit in lane.values())
+    guard = sum(lane.values()) << (_LANE - 1)
     members: dict[int, dict[int, tuple]] = {j: {} for j in lower}
     by_head: dict[int, list[tuple[int, int, tuple]]] = {}
     for j, pieces in lower.items():

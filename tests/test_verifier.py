@@ -328,8 +328,8 @@ class TestUnitSplitter:
         label, d = data.draw(
             st.sampled_from([("g36", 1), ("g36", 2), ("fl511", 1), ("spin7w2", 2), ("spin7w3", 1)])
         )
-        top = unit_basis(label, d)
-        pieces = data.draw(st.lists(st.sampled_from(top), min_size=2, max_size=4))
+        pool = unit_basis(label, d)
+        pieces = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4))
         units = [unit for piece in pieces for unit in piece]
         product = tuple(sorted(units)) if label.startswith("spin") else canonical_rows(units)
         k = d * len(pieces)
