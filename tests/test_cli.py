@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -109,6 +110,23 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "spin7w2", "-k", "0")
         assert (code, err) == (0, "")
         assert out == "# instance: spin7w2, degree: 0, count: 1\n\ntype: B, n: 3\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["spin9w4", "-k", "2"],
+             "03c7c0d19bc7138aa00616d8c0d50c5850ce71562bbf1295760fc5d9c7904b55"),
+            (["spin7w2", "-k", "3", "--format", "json"],
+             "fdf428ca77424e5f9fb59fe8446ada65140770b36dca2660773a5c8965f4de2d"),
+            (["spin7w3", "-k", "2", "--format", "csv"],
+             "37e770f0eb3eb7d0a211486af414c1916221a1f144c020c83aaedb73357dfdbe"),
+        ],
+    )
+    def test_type_b_listing_is_pinned(self, capsys, argv, digest):
+        # the listing order is the search order, so the bytes are pinned
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_label(self, capsys):
         code, out, err = run(capsys, "enumerate", "zzz", "--count-only")
