@@ -116,22 +116,6 @@ class PluckerPoly:
             data[mono] = data.get(mono, Fraction(0)) + coeff
         return PluckerPoly(self.n, data)
 
-    def __sub__(self, other: "PluckerPoly") -> "PluckerPoly":
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, PluckerPoly):
-            data: dict[PluckerMonomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    prod = m1 * m2
-                    data[prod] = data.get(prod, Fraction(0)) + c1 * c2
-            return PluckerPoly(self.n, data)
-        coeff = Fraction(other)
-        return PluckerPoly(self.n, {m: c * coeff for m, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PluckerPoly)

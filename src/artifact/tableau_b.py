@@ -81,22 +81,22 @@ def _weight_caps(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
 
 
 class _SearchB:
-    """State of one type-B search: the rows placed so far and a memo.
+    """One type-B search: the completion table of its states.
 
+    A state (row index, previous row, w) fixes all that follows, where w
+    is the weight of the rows placed so far, w_j = c_j - c_{2n+1-j}.
+    `table[state]` holds how many tableaux complete it and, in pool
+    order, the next states that complete.  A row is kept only while w
+    can still reach zero: sum |w_j| fits in the boxes left, each |w_j| in
+    the rows left (a row never holds both j and 2n+1-j), and no w_j needs
+    an entry below the row's first, which every later row dominates.
     `above[(length, prev, paired)]` lists, in pool order, the candidate
     rows of a length that dominate `prev` entrywise and, for the second
     row of a pair, are admissible under `prev`; so each row is filtered
-    once per call, not once per search node.  The search carries the
-    weight w, w_j = c_j - c_{2n+1-j}, and keeps a row only while w can
-    still reach zero: sum |w_j| fits in the boxes left, each |w_j| in the
-    rows left (a row never holds both j and 2n+1-j), and no w_j needs an
-    entry below the row's first, which every later row dominates.  A
-    state (row index, row, w) fixes all that follows, so `memo` keeps how
-    many tableaux a searched state completes to (when listing, only the
-    zeros): a state that completes to none is not searched again.
+    once per search, not once per state.
     """
 
-    __slots__ = ("n", "lengths", "paired", "above", "memo", "rows", "delta", "left", "caps")
+    __slots__ = ("n", "lengths", "paired", "above", "table", "root", "delta", "left", "caps")
 
     def __init__(self, instance: GroupInstance, degree: int):
         shape = shape_from_weight(instance, degree) if instance.family == FAMILY_B else None
@@ -105,7 +105,8 @@ class _SearchB:
         n = self.n = instance.n
         self.lengths = shape.row_lengths()
         self.paired = shape.paired_rows
-        self.above, self.memo, self.rows = {}, {}, []
+        self.above, self.table = {}, {}
+        self.root = (0, (), (0,) * n)  # no row placed yet, zero weight
         top, rng = 2 * n, range(1, n + 1)
         self.delta = {row: tuple((j in row) - (top + 1 - j in row) for j in rng)
                       for ell in set(self.lengths) for row in _row_candidates(n, ell)}
@@ -113,11 +114,8 @@ class _SearchB:
         self.left = [total - used for used in accumulate(self.lengths)]
         self.caps = [_weight_caps(n, r) for r in reversed(range(len(self.lengths)))]
 
-    def candidates(self, idx: int) -> Sequence[tuple[int, ...]]:
+    def candidates(self, idx: int, prev: tuple[int, ...]) -> Sequence[tuple[int, ...]]:
         length = self.lengths[idx]
-        if not idx:
-            return _row_candidates(self.n, length)
-        prev = self.rows[idx - 1]
         pair_row = idx % 2 == 1 and idx // 2 < self.paired
         key = (length, prev, pair_row)
         hit = self.above.get(key)
@@ -131,37 +129,38 @@ class _SearchB:
             ]
         return hit
 
-    def steps(self, idx: int, w: tuple[int, ...]) -> Iterator[tuple]:
-        """Place each row that may come at `idx` in turn; yield its state."""
-        rows = self.rows
-        left, caps, delta = self.left[idx], self.caps[idx], self.delta
-        for cand in self.candidates(idx):
-            after = tuple(map(add, w, delta[cand]))
-            lo, hi = caps[cand[0]]
-            if (sum(map(abs, after)) <= left and all(map(le, lo, after))
-                    and all(map(le, after, hi))):
-                rows.append(cand)
-                yield idx, cand, after
-                rows.pop()
-
-    def place(self, idx: int, w: tuple[int, ...], listing: bool) -> Iterator[int]:
-        """Return how many tableaux complete a state; when `listing`, yield 1
-        at each with its rows in `rows`, else yield each known count at once.
-        """
+    def count(self, state: tuple) -> int:
+        """How many tableaux complete a state; records its table entry."""
+        hit = self.table.get(state)
+        if hit is not None:
+            return hit[0]
+        idx, prev, w = state
+        live, total = [], 0
         if idx == len(self.lengths):
-            yield 1
-            return 1
-        total, memo = 0, self.memo
-        for state in self.steps(idx, w):
-            got = memo.get(state)
-            if got is None:
-                got = yield from self.place(idx + 1, state[2], listing)
-                if not (listing and got):
-                    memo[state] = got
-            elif got:
-                yield got
-            total += got
+            total = 1
+        else:
+            left, caps, delta = self.left[idx], self.caps[idx], self.delta
+            for cand in self.candidates(idx, prev):
+                after = tuple(map(add, w, delta[cand]))
+                lo, hi = caps[cand[0]]
+                if (sum(map(abs, after)) <= left and all(map(le, lo, after))
+                        and all(map(le, after, hi))):
+                    nxt = (idx + 1, cand, after)
+                    ways = self.count(nxt)
+                    if ways:
+                        live.append(nxt)
+                        total += ways
+        self.table[state] = (total, live)
         return total
+
+    def walk(self, state: tuple, rows: list) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Yield the tableaux that complete a counted state, rows appended to `rows`."""
+        if state[0] == len(self.lengths):
+            yield tuple(rows)
+        for nxt in self.table[state][1]:
+            rows.append(nxt[1])
+            yield from self.walk(nxt, rows)
+            rows.pop()
 
 
 def enumerate_standard_b(
@@ -173,16 +172,17 @@ def enumerate_standard_b(
     candidates that dominate the previous row entrywise, with the
     admissibility check applied as soon as a paired row completes.  A row
     is kept only while the weight it leaves can still be evened out by
-    the rows below it (see `_SearchB`), so the last row admits exactly
-    the torus-invariant tableaux.  Each tuple holds the rows in tableau
-    order, paired prefix first: not the canonical order of type A.
+    the rows below it (see `_SearchB`).  The rows are walked only through
+    states the table counts as completing, so the walk never dead-ends.
+    Each tuple holds the rows in tableau order, paired prefix first: not
+    the canonical order of type A.
     """
     search = _SearchB(instance, degree)
-    for _ in search.place(0, (0,) * search.n, True):
-        yield tuple(search.rows)
+    search.count(search.root)
+    yield from search.walk(search.root, [])
 
 
 def count_standard_b(instance: GroupInstance, degree: int) -> int:
-    """How many tableaux `enumerate_standard_b` yields, building none of them."""
+    """How many tableaux `enumerate_standard_b` yields, read off the table's root."""
     search = _SearchB(instance, degree)
-    return sum(search.place(0, (0,) * search.n, False))
+    return search.count(search.root)

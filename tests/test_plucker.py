@@ -99,16 +99,16 @@ class TestPoly:
         m = mono(4, (1, 2))
         p = PluckerPoly(4, {m: Fraction(0)})
         assert p.is_zero()
-        q = PluckerPoly.from_monomial(m) - PluckerPoly.from_monomial(m)
+        q = PluckerPoly.from_monomial(m) + PluckerPoly.from_monomial(m, -1)
         assert q.is_zero()
 
     def test_arithmetic_is_exact(self):
         m1, m2 = mono(4, (1, 2)), mono(4, (3, 4))
         p = PluckerPoly(4, {m1: Fraction(1, 3), m2: Fraction(2, 3)})
-        q = p * 3
+        q = p + p + p
         assert q.terms == {m1: Fraction(1), m2: Fraction(2)}
-        prod = PluckerPoly.from_monomial(m1) * PluckerPoly.from_monomial(m2)
-        assert prod.terms == {m1 * m2: Fraction(1)}
+        third = PluckerPoly.from_monomial(m1 * m2, Fraction(1, 3))
+        assert (third + third + third).terms == {m1 * m2: Fraction(1)}
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -149,16 +149,16 @@ class TestStraighten:
             assert m.is_standard
 
     def test_coefficients_cancel_across_terms(self):
-        # straighten(x) - straighten applied to an equal combination is zero
+        # straighten(x) plus straighten applied to the negated equal combination is zero
         lhs = straighten(mono(4, (1, 4), (2, 3)))
-        combo = PluckerPoly(
+        negated = PluckerPoly(
             4,
             {
-                mono(4, (1, 3), (2, 4)): Fraction(1),
-                mono(4, (1, 2), (3, 4)): Fraction(-1),
+                mono(4, (1, 3), (2, 4)): Fraction(-1),
+                mono(4, (1, 2), (3, 4)): Fraction(1),
             },
         )
-        assert (lhs - straighten(combo)).is_zero()
+        assert (lhs + straighten(negated)).is_zero()
 
     def test_mixed_profile_beyond_flag_rejected(self):
         with pytest.raises(ValueError, match="profile"):
@@ -217,16 +217,19 @@ def test_straighten_commutes_with_fraction_scalars(label):
         picks = [rng.choice(units) for _ in range(rng.randint(2, 3))]
         return PluckerMonomial(inst.n, tuple(r for unit in picks for r in unit.factors))
 
+    def scale(poly: PluckerPoly, c: Fraction) -> PluckerPoly:
+        return PluckerPoly(poly.n, {m: a * c for m, a in poly.items()})
+
     for _ in range(6):
         p, q = product(), product()
         plain = straighten(p)
         for c in scalars:
             scaled = straighten(PluckerPoly.from_monomial(p, c))
-            assert scaled == plain * c
+            assert scaled == scale(plain, c)
             assert all(type(coeff) is Fraction for _, coeff in scaled.items())
         # mixed denominators: the loop runs at their lcm
         mixed = PluckerPoly.from_monomial(p, scalars[1]) + PluckerPoly.from_monomial(q, scalars[2])
-        assert straighten(mixed) == plain * scalars[1] + straighten(q) * scalars[2]
+        assert straighten(mixed) == scale(plain, scalars[1]) + scale(straighten(q), scalars[2])
 
 
 class TestEvaluation:

@@ -233,7 +233,7 @@ class TestEnumeration:
         want = list(enumerate_standard_b_imbalance(inst, 2))
         assert list(enumerate_standard_b(inst, 2)) == want
         assert list(enumerate_standard_b(inst, 2)) == want
-        # two live searches taken in turns do not share a memo
+        # two live searches taken in turns do not share a table
         first = enumerate_standard_b(inst, 2)
         second = enumerate_standard_b(inst, 2)
         pairs = list(zip(first, second))
