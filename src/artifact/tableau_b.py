@@ -154,7 +154,7 @@ class _SearchB:
         return total
 
     def walk(self, state: tuple, rows: list) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Yield the tableaux that complete a counted state, rows appended to `rows`."""
+        """Yield the tableaux that complete a counted state, after the rows in `rows`."""
         if state[0] == len(self.lengths):
             yield tuple(rows)
         for nxt in self.table[state][1]:
