@@ -404,17 +404,16 @@ FIG1 = ((1, 2),) * 2 + ((1, 3),) * 5 + ((1, 4),) * 3 + ((2, 4),) * 7 + (
 FIG4 = ((1, 2),) * 2 + ((1, 4),) * 3 + ((2, 4),) * 2 + ((2, 5),) + (
     (3, 5),) * 4 + ((3, 6),) + ((6,),) * 4
 
-# sha256 of [(str(coeff), str(g), str(h)), ...] for each element that no
-# degree-one unit divides, in basis order
+# per piece: the number of elements that no degree-one unit divides, and
+# the sha256 of the list of their certificate digests in basis order, each
+# the sha256 of [(str(coeff), str(g), str(h)), ...]
 GRAPH_ROUTE_TERMS = {
-    "fl511": [
-        "bff47785c6a95f20296afc05930d3a80b59765d93bf270d07b1ee7955281ee88",
-        "813c8522fadc36d861a0f9fd1376e98e8d33b844905d4e576a69628b713ecc04",
-    ],
-    "fl512": [
-        "3cd420e7daae12ae85501400c469aa7a80f60bffe2b3fbbd086744563e59d6f3",
-        "359d348efefeba43afd9eb9135db670e0ee0a3182b636294ccc829945167157f",
-    ],
+    ("fl511", 2): (2, "937e77be1cd5e5fa6a144e801d4f5718665a737ec3aa2e2c18b3bf8e83b01010"),
+    ("fl511", 4): (2, "9df00f29eb4095d5a3dc4b04684f3a22cb131a4abc40c053ed2da241c2e5e2ca"),
+    ("fl512", 2): (2, "9673772829c60f987b7c936878f09399c7cd17a92afbd1652878d31c09dc67a3"),
+    ("fl512", 4): (2, "5e4ec1b1c520eddfe24d71e734d394312433c318eaeb4e0b5065ccca847acde2"),
+    ("fl513", 2): (2, "394f0bf428be2f75cfac02bf66d2854a4ddca8faa45fa206d8fbb3e47bf145e4"),
+    ("fl711", 2): (49, "1b99fd022245926cd0aa08b09f1c9f02d7ec9ae04c88357f1142a7b39d35f067"),
 }
 # pieces with s even, or with k and s both odd: the parities that take no
 # graph split
@@ -447,10 +446,10 @@ class TestGraphRoute:
                 assert cli.main(["factorize", "fl611", text, "--format", "json"]) == 0
             assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, text
 
-    @pytest.mark.parametrize("label", sorted(GRAPH_ROUTE_TERMS))
-    def test_undivided_elements_take_the_graph_route(self, label, monkeypatch):
+    @pytest.mark.parametrize("label, k", sorted(GRAPH_ROUTE_TERMS))
+    def test_undivided_elements_take_the_graph_route(self, label, k, monkeypatch):
         inst = instance_by_label(label)
-        stuck = [f for f in basis_monomials(inst, 2) if dividing_unit(inst, f) is None]
+        stuck = [f for f in basis_monomials(inst, k) if dividing_unit(inst, f) is None]
 
         def refuse(*args):
             raise AssertionError("the graph route fell back to linear algebra")
@@ -461,7 +460,7 @@ class TestGraphRoute:
             terms = extract_degree_one(inst, f)
             assert validate_certificate(inst, f, terms, count=2)
             got.append(_digest([(str(c), str(g), str(h)) for c, g, h in terms]))
-        assert got == GRAPH_ROUTE_TERMS[label]
+        assert (len(got), _digest(got)) == GRAPH_ROUTE_TERMS[label, k]
 
     def test_the_other_parities_divide(self):
         for label, k in DIVIDED_PIECES:
