@@ -38,20 +38,15 @@ from .formats import (
 )
 from .graphs import graph_from_monomial, to_dot
 from .plucker import straighten
-from .tableau_a import count_standard, enumerate_standard
-from .tableau_b import count_standard_b, enumerate_standard_b
 from .verifier import (
+    basis,
+    basis_size,
     check_duality,
     run_instance_check,
     run_paper_suite,
     validate_certificate,
 )
-from .weights import (
-    FAMILY_A,
-    default_generation_degree,
-    instance_by_label,
-    shape_from_weight,
-)
+from .weights import FAMILY_B, default_generation_degree, instance_by_label
 
 
 @functools.cache
@@ -149,19 +144,10 @@ def _read_text(path: str | None, given: str | None, article: str, what: str) -> 
 def _cmd_enumerate(args) -> int:
     label = _pick(args.instance, args.instance_opt, "instance label")
     instance = instance_by_label(label)
-    if instance.family == FAMILY_A:
-        shape = shape_from_weight(instance, args.degree)
-        if args.count_only:
-            print(count_standard(shape, instance.n, "uniform"))
-            return 0
-        tableaux = list(enumerate_standard(shape, instance.n, "uniform"))
-        header: tuple[str, ...] = ()
-    elif args.count_only:
-        print(count_standard_b(instance, args.degree))
+    if args.count_only:
+        print(basis_size(instance, args.degree))
         return 0
-    else:
-        tableaux = list(enumerate_standard_b(instance, args.degree))
-        header = (f"type: B, n: {instance.n}",)
+    tableaux = basis(instance, args.degree)
     if args.format == "json":
         payload = {
             "instance": label,
@@ -176,6 +162,7 @@ def _cmd_enumerate(args) -> int:
             cells = "|".join(",".join(map(str, row)) for row in t)
             print(f'{i},"{cells}"')
     else:
+        header = (f"type: B, n: {instance.n}",) if instance.family == FAMILY_B else ()
         print(f"# instance: {label}, degree: {args.degree}, count: {len(tableaux)}")
         for t in tableaux:
             print()

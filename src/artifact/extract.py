@@ -117,18 +117,9 @@ def one_factor_selection(g: LoopedMultigraph) -> LoopedMultigraph:
             raise ExtractionStuck("cannot select a matching from an odd cycle")
         chosen.extend(comp["order"][0::2])
     out = LoopedMultigraph(g.n, chosen)
-    for v, d in g.degrees().items():
-        if out.degree(v) != (1 if d else 0):
-            raise AssertionError("selection must be 1-regular")
+    if out.degrees() != {v: 1 if d else 0 for v, d in g.degrees().items()}:
+        raise AssertionError("selection must be 1-regular")
     return out
-
-
-def graph_difference(g: LoopedMultigraph, sub: LoopedMultigraph) -> LoopedMultigraph:
-    return g.replace(sub.edges)
-
-
-def _union(n: int, parts: list[LoopedMultigraph]) -> LoopedMultigraph:
-    return LoopedMultigraph(n, [e for p in parts for e in p.edges])
 
 
 def _trade(
@@ -327,7 +318,6 @@ def _split_candidate(
     matching of each repaired branch plus (s-1)/2 more 2-factors, and h
     the rest.
     """
-    n = f.n
     G = graph_from_monomial(f)
     if not G.is_regular(k * s):
         raise ValueError("monomial is not torus-invariant")
@@ -347,13 +337,12 @@ def _split_candidate(
         raise ExtractionStuck("no two-factor supports a matching")
     others = [factors[i] for i in range(len(factors)) if i != pick]
     take = (s - 1) // 2
+    g_more = [e for other in others[:take] for e in other.edges]
+    h_more = [e for other in others[take:] for e in other.edges]
     out = []
     for coeff, repaired in merge_odd_cycles(factors[pick]):
         m = one_factor_selection(repaired)
-        rem = graph_difference(repaired, m)
-        g_t = _union(n, [m] + others[:take])
-        h_t = _union(n, [rem] + others[take:])
-        out.append((coeff, g_t, h_t))
+        out.append((coeff, m.replace((), g_more), repaired.replace(m.edges, h_more)))
     return out
 
 

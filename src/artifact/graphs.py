@@ -37,10 +37,6 @@ class LoopedMultigraph:
             fixed.append((a, b) if a <= b else (b, a))
         self.edges = sorted(fixed)
 
-    def degree(self, v: int) -> int:
-        # each incident edge contributes once, so a loop already counts 1
-        return sum(1 for a, b in self.edges if a == v or b == v)
-
     def degrees(self) -> dict[int, int]:
         deg = {v: 0 for v in range(1, self.n + 1)}
         for a, b in self.edges:
@@ -66,34 +62,32 @@ class LoopedMultigraph:
             raise ValueError("the dropped edges are not a subgraph")
         return LoopedMultigraph(self.n, [*left.elements(), *add])
 
-    def components(self) -> list[list[Edge]]:
-        """Edge lists of connected components (isolated vertices skipped)."""
+    def components(self) -> list[list[int]]:
+        """Indices into ``edges`` of each connected component, ascending.
+
+        Components come in the order of their smallest vertex; isolated
+        vertices are skipped.  This is the one component pass of the graph
+        layer: ``classify_two_regular`` and ``two_factorize`` both read it.
+        """
         adj: dict[int, list[int]] = defaultdict(list)
         for idx, (a, b) in enumerate(self.edges):
             adj[a].append(idx)
             if b != a:
                 adj[b].append(idx)
-        seen_edge = [False] * len(self.edges)
-        seen_vertex: set[int] = set()
-        out: list[list[Edge]] = []
+        seen: set[int] = set()
+        out: list[list[int]] = []
         for start in sorted(adj):
-            if start in seen_vertex:
+            if start in seen:
                 continue
-            stack = [start]
-            seen_vertex.add(start)
-            comp: list[Edge] = []
+            seen.add(start)
+            stack, comp = [start], set()
             while stack:
-                v = stack.pop()
-                for idx in adj[v]:
-                    if seen_edge[idx]:
-                        continue
-                    seen_edge[idx] = True
-                    a, b = self.edges[idx]
-                    comp.append((a, b))
-                    w = b if a == v else a
-                    if w not in seen_vertex:
-                        seen_vertex.add(w)
-                        stack.append(w)
+                for idx in adj[stack.pop()]:
+                    comp.add(idx)
+                    for w in self.edges[idx]:
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
             out.append(sorted(comp))
         return out
 
@@ -320,33 +314,20 @@ def two_factorize(g: LoopedMultigraph) -> list[LoopedMultigraph]:
     bipartite, whose matchings pull back to 2-factors.  Every returned
     graph is 2-regular in loop-counts-one degrees.
     """
-    degs = {d for v, d in g.degrees().items() if d}
+    deg = g.degrees()
+    degs = {d for d in deg.values() if d}
     if len(degs) != 1 or next(iter(degs)) % 2:
         raise ValueError("graph is not 2r-regular")
     r = next(iter(degs)) // 2
     classical, provenance = normalize_loops(g)
-    instanced = list(enumerate(classical.edges))
-    # component split via union-find, then one Euler circuit per component
-    parent = list(range(g.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, (a, b) in instanced:
-        parent[find(a)] = find(b)
-    comps: dict[int, list[tuple[int, Edge]]] = defaultdict(list)
-    for eid, (a, b) in instanced:
-        comps[find(a)].append((eid, (a, b)))
+    # one Euler circuit per component
     arcs: list[tuple[int, int, int]] = []
-    for comp_edges in comps.values():
-        arcs.extend(_euler_circuit(comp_edges))
+    for comp in classical.components():
+        arcs.extend(_euler_circuit([(eid, classical.edges[eid]) for eid in comp]))
     # classical degree is 2r everywhere on the support, so the circuits
     # leave and enter each touched vertex exactly r times: the out/in
     # incidence graph is r-regular bipartite
-    touched = sorted({v for _, (a, b) in instanced for v in (a, b)})
+    touched = sorted({v for e in classical.edges for v in e})
     index = {v: i for i, v in enumerate(touched)}
     bip_edges = [(index[tail], index[head]) for _, tail, head in arcs]
     arc_lookup: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -368,10 +349,9 @@ def two_factorize(g: LoopedMultigraph) -> list[LoopedMultigraph]:
                 # synthetic classical edge: return its source loops
                 back_edges.extend([(a, a), (b, b)])
         out.append(LoopedMultigraph(g.n, back_edges))
-    for f in out:
-        for v, d in f.degrees().items():
-            if d != (2 if g.degree(v) else 0):
-                raise AssertionError("factor must be 2-regular")
+    support = {v: 2 if d else 0 for v, d in deg.items()}
+    if any(f.degrees() != support for f in out):
+        raise AssertionError("factor must be 2-regular")
     if len(out) != r:
         raise AssertionError(f"expected {r} 2-factors, found {len(out)}")
     return out
@@ -409,7 +389,7 @@ def classify_two_regular(g: LoopedMultigraph) -> list[dict]:
         if d not in (0, 2):
             raise ValueError(f"vertex {v} has degree {d}, graph is not 2-regular")
     out = []
-    for comp in g.components():
+    for comp in ([g.edges[i] for i in ids] for ids in g.components()):
         loops = [a for a, b in comp if a == b]
         adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for idx, (a, b) in enumerate(e for e in comp if e[0] != e[1]):

@@ -39,7 +39,7 @@ from .tableau_a import (
     enumerate_standard,
     rows_standard,
 )
-from .tableau_b import enumerate_standard_b
+from .tableau_b import count_standard_b, enumerate_standard_b
 from .weights import (
     FAMILY_A,
     FAMILY_B,
@@ -111,6 +111,26 @@ def _partitions(total: int, max_part: int) -> list[tuple[int, ...]]:
     return out
 
 
+def basis(instance: GroupInstance, degree: int) -> list[Factors]:
+    """Zero-weight standard basis of a graded piece of either family, as row tuples.
+
+    Type A lists the strip table of the scaled shape (``enumerate_standard``):
+    canonical rows, in lexicographic order.  Type B lists the completion
+    table (``enumerate_standard_b``): rows in tableau order, paired prefix
+    first.  Every basis the package builds is listed here.
+    """
+    if instance.family == FAMILY_A:
+        return list(enumerate_standard(shape_from_weight(instance, degree), instance.n, "uniform"))
+    return list(enumerate_standard_b(instance, degree))
+
+
+def basis_size(instance: GroupInstance, degree: int) -> int:
+    """``len(basis(instance, degree))``, read off the same table, with no tableau built."""
+    if instance.family == FAMILY_A:
+        return count_standard(shape_from_weight(instance, degree), instance.n, "uniform")
+    return count_standard_b(instance, degree)
+
+
 def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomial]:
     """Zero-weight standard basis of a type-A graded piece, as monomials.
 
@@ -118,19 +138,7 @@ def basis_monomials(instance: GroupInstance, degree: int) -> list[PluckerMonomia
     """
     if instance.family != FAMILY_A:
         raise ValueError("monomial bases exist for type A only")
-    return [PluckerMonomial.trusted(instance.n, rows) for rows in _basis_rows(instance, degree)]
-
-
-def _basis_rows(instance: GroupInstance, degree: int) -> list[Factors]:
-    """Zero-weight standard basis of a type-A graded piece, as canonical rows."""
-    shape = shape_from_weight(instance, degree)
-    return list(enumerate_standard(shape, instance.n, "uniform"))
-
-
-def basis_size(instance: GroupInstance, degree: int) -> int:
-    """Size of ``basis_monomials(instance, degree)``, counted, not enumerated."""
-    shape = shape_from_weight(instance, degree)
-    return count_standard(shape, instance.n, "uniform")
+    return [PluckerMonomial.trusted(instance.n, rows) for rows in basis(instance, degree)]
 
 
 def _head_lane(code: int) -> int:
@@ -262,8 +270,8 @@ def check_generation(instance: GroupInstance, k: int, d: int) -> GenerationRepor
             f"{label} k={k} d={d}: about {est} products x {dim} basis elements "
             f"exceeds the budget of {BUDGET_ENTRIES} matrix entries"
         )
-    basis_k = _basis_rows(instance, k)
-    lower = {j: _basis_rows(instance, j) for j in sizes}
+    basis_k = basis(instance, k)
+    lower = {j: basis(instance, j) for j in sizes}
     if len(basis_k) != dim or any(len(lower[j]) != c for j, c in sizes.items()):
         raise AssertionError("a basis enumeration disagrees with its count")
     # the units are rows: the quotient of a standard zero-weight monomial
@@ -386,15 +394,15 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
     if instance.family != FAMILY_B:
         raise ValueError("type-B factorization needs a type-B instance")
     label = str(instance)
-    basis = list(enumerate_standard_b(instance, k))
+    elements = basis(instance, k)
     paired = {j: shape_from_weight(instance, j).paired_rows for j in range(k + 1)}
     split = unit_splitter({
-        j: [_b_units(rows, paired[j]) for rows in enumerate_standard_b(instance, j)]
+        j: [_b_units(rows, paired[j]) for rows in basis(instance, j)]
         for j in (range(1, d + 1) if k > d else ())
     })
     witnesses: list[dict] = []
     ok = 0
-    for rows in basis:
+    for rows in elements:
         units = _b_units(rows, paired[k])
         parts = [units] if k <= d else split(units, k)
         entry: dict = {"element": [list(r) for r in rows], "parts": None}
@@ -403,7 +411,7 @@ def check_typeB_factorization(instance: GroupInstance, k: int, d: int) -> Genera
             entry["parts"] = [[list(r) for unit in part for r in unit] for part in parts]
         witnesses.append(entry)
     return GenerationReport(
-        label, k, d, len(basis), ok, "pass" if ok == len(basis) else "fail",
+        label, k, d, len(elements), ok, "pass" if ok == len(elements) else "fail",
         witnesses=witnesses,
     )
 
@@ -494,11 +502,20 @@ def factor_by_linear_algebra(
 
     Unknowns range over (degree-one generator, degree k-1 basis element)
     pairs; an exact solve over the integer coordinates of the straightened
-    products either yields a certificate or proves none exists.
+    products either yields a certificate or proves none exists.  The
+    guard reads only counts, so a system over ``BUDGET_ENTRIES`` is
+    refused before any basis is listed or any product straightened.
     """
     k = monomial_degree(instance, f)
     if k < 2:
         raise ValueError("degree must be at least 2")
+    products = basis_size(instance, 1) * basis_size(instance, k - 1)
+    dim = basis_size(instance, k)
+    if products * dim > BUDGET_ENTRIES:
+        raise ValueError(
+            f"{instance} k={k}: {products} products x {dim} basis elements "
+            f"exceeds the budget of {BUDGET_ENTRIES} matrix entries"
+        )
     index = {m.factors: i for i, m in enumerate(basis_monomials(instance, k))}
     pos = index.get(f.factors)
     if pos is None or f.n != instance.n:

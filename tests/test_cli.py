@@ -35,22 +35,22 @@ class TestEnumerate:
         assert (code, out, err) == (0, count + "\n", "")
 
     def test_type_a_count_only_builds_no_tableau(self, capsys, monkeypatch):
-        import artifact.cli as cli
+        import artifact.verifier as verifier
 
         def refuse(*args, **kwargs):
             raise AssertionError("--count-only enumerated")
 
-        monkeypatch.setattr(cli, "enumerate_standard", refuse)
+        monkeypatch.setattr(verifier, "enumerate_standard", refuse)
         code, out, err = run(capsys, "enumerate", "g37", "-k", "3", "--count-only")
         assert (code, out, err) == (0, "32425\n", "")
 
     def test_type_b_count_only_builds_no_tableau(self, capsys, monkeypatch):
-        import artifact.cli as cli
+        import artifact.verifier as verifier
 
         def refuse(*args, **kwargs):
             raise AssertionError("--count-only enumerated")
 
-        monkeypatch.setattr(cli, "enumerate_standard_b", refuse)
+        monkeypatch.setattr(verifier, "enumerate_standard_b", refuse)
         code, out, err = run(capsys, "enumerate", "spin7w2", "-k", "4", "--count-only")
         assert (code, out, err) == (0, "225\n", "")
 
@@ -236,6 +236,21 @@ class TestFactorize:
     def test_missing_monomial(self, capsys):
         code, out, err = run(capsys, "factorize", "g24")
         assert (code, out, err) == (2, "", "error: missing monomial\n")
+
+    def test_oversized_fallback_is_refused_before_any_listing(self, capsys, monkeypatch):
+        # no unit divides this g37 element and its rows are too long for the
+        # graph route: the fallback would solve 225 x 225 products x 4411 rows
+        import artifact.verifier as verifier
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed or straightened before the guard")
+
+        monkeypatch.setattr(verifier, "basis", refuse)
+        monkeypatch.setattr(verifier, "straighten", refuse)
+        stuck = "p[1,2,3]^5 p[1,4,5] p[2,4,5] p[3,4,5] p[4,6,7]^3 p[5,6,7]^3"
+        code, out, err = run(capsys, "factorize", "g37", stuck)
+        assert (code, out) == (2, "")
+        assert "exceeds the budget of 10000000 matrix entries" in err
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,13 @@ import artifact
 import artifact.verifier as verifier
 from artifact.cli import main
 from artifact.plucker import MinorTable, PluckerMonomial, eval_on_matrix, seeded_matrices
-from artifact.tableau_a import canonical_rows, rows_standard
-from artifact.tableau_b import enumerate_standard_b
+from artifact.tableau_a import canonical_rows, count_standard, enumerate_standard, rows_standard
+from artifact.tableau_b import count_standard_b, enumerate_standard_b
 from artifact.verifier import (
     _b_units,
+    basis,
     basis_monomials,
+    basis_size,
     check_duality,
     check_generation,
     check_typeB_factorization,
@@ -359,6 +361,35 @@ class TestUnitSplitter:
         assert split(below, 2) is None
         with pytest.raises(ValueError, match="problem too large"):
             split(at, 2)
+
+
+BASIS_PIECES = (
+    [("g24", k) for k in range(4)]
+    + [(label, k) for label in ("fl311", "g36", "spin5w1", "spin7w2", "spin7w3") for k in (1, 2, 3)]
+    + [("spin9w4", 1), ("spin9w4", 2)]
+)
+
+
+class TestBasis:
+    """One entry point lists and counts a basis of either family."""
+
+    @pytest.mark.parametrize("label, k", BASIS_PIECES)
+    def test_count_matches_the_listing_and_the_family_functions(self, label, k):
+        inst = instance_by_label(label)
+        rows = basis(inst, k)
+        assert basis_size(inst, k) == len(rows)
+        if inst.family == FAMILY_B:
+            assert rows == list(enumerate_standard_b(inst, k))
+            assert len(rows) == count_standard_b(inst, k)
+        else:
+            shape = shape_from_weight(inst, k)
+            assert rows == list(enumerate_standard(shape, inst.n, "uniform"))
+            assert len(rows) == count_standard(shape, inst.n, "uniform")
+
+    def test_type_b_is_counted_as_type_b(self):
+        # read as type A these gave 1 and a ValueError
+        assert basis_size(instance_by_label("spin7w3"), 2) == 29
+        assert basis_size(instance_by_label("spin7w2"), 2) == 33
 
 
 class TestDuality:
