@@ -387,7 +387,7 @@ class TestBasis:
             assert len(rows) == count_standard(shape, inst.n, "uniform")
 
     def test_type_b_is_counted_as_type_b(self):
-        # read as type A these gave 1 and a ValueError
+        # read as type A, these pieces give 1 and a ValueError
         assert basis_size(instance_by_label("spin7w3"), 2) == 29
         assert basis_size(instance_by_label("spin7w2"), 2) == 33
 
